@@ -207,14 +207,6 @@ def _panel_value(fn, a, b, n):
     return 0.5 * (b - a) * float(np.dot(w, fn(s)))
 
 
-def _arg_step(env, s, step):
-    e0 = env(np.array([s]))[0]
-    e1 = env(np.array([s + step]))[0]
-    if abs(e0) < 1e-280 or abs(e1) < 1e-280:
-        return None
-    return abs(np.angle(e1 / e0))
-
-
 def _local_frequency(env, s, nu_max):
     """Oscillation frequency of the complex envelope near s (cycles per unit s).
 
@@ -222,18 +214,18 @@ def _local_frequency(env, s, nu_max):
     interference mean plus the noise phase): the phase increment of a
     shot-noise Laplace transform is bounded by its mean, so measuring over
     a step of 0.2 / nu_max cannot alias.  A nested-step agreement check
-    guards the estimate anyway.
+    guards the estimate anyway.  An envelope that has underflowed has no
+    oscillation left to resolve, and its frequency reads 0.
     """
     step = 0.1 * s
     if nu_max > 0.0:
         step = min(step, 0.2 / nu_max)
     for _ in range(48):
-        d1 = _arg_step(env, s, step)
-        if d1 is None:
-            return c
-        d2 = _arg_step(env, s, 0.5 * step)
-        if d2 is None:
-            return c
+        e0, e1, e_half = env(np.array([s, s + step, s + 0.5 * step]))
+        if min(abs(e0), abs(e1), abs(e_half)) < 1e-280:
+            return 0.0
+        d1 = abs(np.angle(e1 / e0))
+        d2 = abs(np.angle(e_half / e0))
         if d1 < 1.5 and abs(d1 - 2.0 * d2) < 0.2 * max(d1, 1e-12) + 1e-9:
             return d1 / (2.0 * math.pi * step)
         step *= 0.25
@@ -403,7 +395,7 @@ def _coverage_lb_ic_err(cfg, t, n_r0=20, n_rm=14, inner_tol=1e-4):
     err = 0.0
 
     def f_h(s):
-        return (1.0 - 2j * math.pi * s) ** (-d) - 1.0
+        return (1.0 / (1.0 - 2j * math.pi * s)) ** d - 1.0
 
     for r0, wu in zip(r0s, w0):
         big_l = float((1.0 + r0) ** cfg.alpha)
@@ -601,9 +593,8 @@ def rate_loss_ub_adaptive(cfg, geometry_trials=2000, seed=None):
 # Fixed-antenna thresholding bound
 # ---------------------------------------------------------------------------
 
-def coverage_lb_thresholded(cfg, t, n_r0=16, n_rm=10, n_rM=10, inner_tol=2e-4):
-    """Coverage lower bound under the fixed-n_t thresholding policy:
-    nulling when N < n_t plus single-cell beamforming when N >= n_t."""
+def _coverage_lb_thresholded_err(cfg, t, n_r0=16, n_rm=10, n_rM=10,
+                                 inner_tol=2e-4):
     if not isinstance(cfg.antenna_mode, geometry.FixedNt):
         raise DomainError("thresholded bound needs antenna_mode = FixedNt(n_t)")
     n_t = cfg.antenna_mode.n_t
@@ -624,10 +615,10 @@ def coverage_lb_thresholded(cfg, t, n_r0=16, n_rm=10, n_rM=10, inner_tol=2e-4):
         powers = n_t - np.arange(len(w_ic))
 
         def f_h_sum(s):
-            base = 1.0 - 2j * math.pi * s
+            inv = 1.0 / (1.0 - 2j * math.pi * s)
             acc = np.zeros_like(s, dtype=complex)
             for p, dnt in zip(w_ic, powers):
-                acc += p * (base ** float(-dnt) - 1.0)
+                acc += p * (inv ** float(dnt) - 1.0)
             return acc
 
         for r0, wu in zip(r0s, w0):
@@ -655,7 +646,7 @@ def coverage_lb_thresholded(cfg, t, n_r0=16, n_rm=10, n_rM=10, inner_tol=2e-4):
             tl = t * big_l
 
             def f_h(s, _tl=tl):
-                return (1.0 - 2j * math.pi * s / _tl) ** float(-n_t) - 1.0
+                return (1.0 / (1.0 - 2j * math.pi * s / _tl)) ** float(n_t) - 1.0
 
             rms, wv = _rm_nodes_conditional(r0, cfg.lambda_c, n_rm)
             rMs, ww = _rM_nodes_conditional(r0, cfg.lambda_c, n_rM)
@@ -682,7 +673,14 @@ def coverage_lb_thresholded(cfg, t, n_r0=16, n_rm=10, n_rM=10, inner_tol=2e-4):
             total += wu * val
             err += wu * e
 
-    return min(max(total, 0.0), 1.0)
+    return min(max(total, 0.0), 1.0), err
+
+
+def coverage_lb_thresholded(cfg, t, n_r0=16, n_rm=10, n_rM=10, inner_tol=2e-4):
+    """Coverage lower bound under the fixed-n_t thresholding policy:
+    nulling when N < n_t plus single-cell beamforming when N >= n_t."""
+    val, _ = _coverage_lb_thresholded_err(cfg, t, n_r0, n_rm, n_rM, inner_tol)
+    return val
 
 
 def rate_lb_thresholded(cfg, n_r0=12, n_rm=8, n_rM=8, inner_tol=5e-4):
@@ -703,29 +701,7 @@ def coverage_curve(cfg, t_db_grid):
     for i, t_db in enumerate(xs):
         t = 10.0 ** (t_db / 10.0)
         if isinstance(cfg.antenna_mode, geometry.FollowN):
-            val, e = _coverage_lb_ic_err(cfg, t)
+            ys[i], errs[i] = _coverage_lb_ic_err(cfg, t)
         else:
-            val = coverage_lb_thresholded(cfg, t)
-            e = math.nan
-        ys[i] = val
-        errs[i] = e
+            ys[i], errs[i] = _coverage_lb_thresholded_err(cfg, t)
     return BoundCurve(x=xs, y=ys, kind=CurveKind.COVERAGE_LB, quadrature_error=errs)
-
-
-def rate_loss_curve_equal(cfg, b_tot_grid, bias=True):
-    from dataclasses import replace
-    xs = np.asarray(b_tot_grid, dtype=float)
-    ys = np.array([rate_loss_ub_equal(replace(cfg, b_tot=int(b)), bias=bias)
-                   for b in xs])
-    return BoundCurve(x=xs, y=ys, kind=CurveKind.RATE_LOSS_UB,
-                      quadrature_error=np.full_like(xs, math.nan))
-
-
-def rate_loss_curve_adaptive(cfg, b_tot_grid, geometry_trials=2000):
-    from dataclasses import replace
-    xs = np.asarray(b_tot_grid, dtype=float)
-    ys = np.array([
-        rate_loss_ub_adaptive(replace(cfg, b_tot=int(b)), geometry_trials)
-        for b in xs])
-    return BoundCurve(x=xs, y=ys, kind=CurveKind.RATE_LOSS_UB,
-                      quadrature_error=np.full_like(xs, math.nan))

@@ -6,6 +6,13 @@ Config precedence: command-line flags > config-file keys > defaults.  The
 config file is flat key=value text; the metadata block embedded in every
 output CSV uses the same syntax (prefixed '# '), so a previous result file
 can be replayed directly via --config.
+
+Exit codes: 0 success, 2 bad configuration (also a value a bound finds
+outside its domain, such as --nt 1), 3 an analytic integral missed its
+error target, 4 a file could not be read or written, 5 any other package
+error while evaluating (for example no acceptable deployment realization
+within the sampler's attempt budget).  Each failure prints one `error:`
+line on stderr.
 """
 
 import argparse
@@ -16,12 +23,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import analysis, geometry, montecarlo
-from .errors import QuadratureError
+from .errors import ClusterNullError, DomainError, QuadratureError
 from .geometry import FixedNt, FollowN, SimConfig
 
 EXIT_CONFIG = 2
 EXIT_QUADRATURE = 3
 EXIT_IO = 4
+EXIT_MODEL = 5
 
 LF_STRATEGIES = {
     "lf-adaptive": "adaptive",
@@ -424,6 +432,12 @@ def main(argv=None):
     except QuadratureError as exc:
         print(f"error: quadrature failure: {exc}", file=sys.stderr)
         return EXIT_QUADRATURE
+    except DomainError as exc:
+        print(f"error: bad configuration: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ClusterNullError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_MODEL
     try:
         write_csv(spec.output_path, header, rows, meta)
     except OSError as exc:

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import analysis, feedback, geometry
-from .beamforming import Beamformer, mrt_beamformer, zf_null_beamformer
+from .beamforming import Beamformer, zf_null_beamformer
 from .channel import complex_gaussian, path_loss, sample_channels
 from .errors import InsufficientBudgetError, RankDeficientError
 

@@ -129,6 +129,17 @@ def test_fourier_ccdf_gamma_oracle():
         assert abs(val - want) < 3e-4, (tl, i0, d, inv_snr)
 
 
+def test_local_frequency_of_underflowed_envelope_is_zero():
+    probes = []
+
+    def env(s):
+        probes.append(len(s))
+        return np.zeros(len(s), dtype=complex)
+
+    assert analysis._local_frequency(env, 2.0, 5.0) == 0.0
+    assert probes == [3]
+
+
 # ---------------------------------------------------------------------------
 # coverage and rate bounds
 # ---------------------------------------------------------------------------
@@ -327,6 +338,15 @@ def test_thresholded_coverage_in_range_and_decreasing():
             for t in ts]
     assert all(0.0 <= v <= 1.0 for v in vals)
     assert all(a >= b - 1e-3 for a, b in zip(vals, vals[1:]))
+
+
+def test_thresholded_coverage_curve_reports_finite_error():
+    cfg = SimConfig(lambda_b=LAM, lambda_c=LAM / 3.0, alpha=4.0, snr_db=100.0,
+                    antenna_mode=FixedNt(12))
+    curve = analysis.coverage_curve(cfg, [0.0])
+    err = curve.quadrature_error[0]
+    assert math.isfinite(err)
+    assert 0.0 < err < 2e-4
 
 
 def test_circumscribed_ccdf_bound_shape():

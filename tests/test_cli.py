@@ -69,6 +69,19 @@ def test_bad_config_exit_code():
     r = run_cli(["coverage", "--dnt", "3", "--nt", "5"])
     assert r.returncode == cli.EXIT_CONFIG
     assert "configuration" in r.stderr
+    # parses, but the thresholded bound needs n_t >= 2
+    r = run_cli(["coverage", "--mode", "analytic", "--nt", "1", "--t-db", "0"])
+    assert r.returncode == cli.EXIT_CONFIG
+    assert r.stderr.startswith("error: bad configuration")
+
+
+def test_package_error_exit_code(tmp_path):
+    # a window of 1.5 clusters never holds an acceptable typical cluster
+    r = run_cli(["coverage", "--mode", "mc", "--window-clusters", "1.5",
+                 "--trials", "5", "--t-db", "0:5:5", "--out", str(tmp_path / "x.csv")])
+    assert r.returncode == cli.EXIT_MODEL
+    assert r.stderr.startswith("error: DegenerateRealizationError")
+    assert len(r.stderr.splitlines()) == 1
 
 
 def test_io_error_exit_code(tmp_path):

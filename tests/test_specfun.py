@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from clusternull import specfun
 from clusternull.errors import DomainError
@@ -86,6 +86,27 @@ def test_hyp2f1_a1_complex_vs_euler_quadrature():
                                weight="alg", wvar=(b - 1.0, 0.0), limit=300)
         want = b * complex(re, im)  # Gamma(c)/(Gamma(b)Gamma(1)) = b for c = b+1
         assert abs(got - want) < 1e-8 * max(abs(want), 1e-12)
+
+
+@pytest.mark.parametrize("b", [0.3, 0.5, 0.75, 0.95])
+def test_hyp2f1_a1_vs_scipy(b):
+    # purely imaginary z is the Fourier engine's argument; the ring points
+    # sit on both sides of the window edges |z| = 0.6 and 1.5
+    y = np.logspace(-4.0, 6.0, 401)
+    imag_axis = np.concatenate([1j * y, -1j * y])
+    radii = np.outer([0.6, 1.5], [1.0 - 1e-9, 1.0 + 1e-9]).ravel()
+    phases = np.exp(1j * np.linspace(0.5 * np.pi, 1.5 * np.pi, 13))
+    rings = (radii[:, None] * phases[None, :]).ravel()
+    for z in (imag_axis, rings, rings[:1]):
+        got = specfun.hyp2f1_a1(b, z)
+        want = special.hyp2f1(1.0, b, b + 1.0, z)
+        assert got.shape == z.shape
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+
+def test_hyp2f1_a1_empty_input():
+    got = specfun.hyp2f1_a1(0.5, np.array([], dtype=complex))
+    assert got.shape == (0,)
 
 
 def test_digamma_euler_mascheroni():
