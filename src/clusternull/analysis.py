@@ -534,22 +534,27 @@ def rate_loss_ub_equal(cfg, bias=True):
             + math.log2(cfg.inv_snr + fit.mean + term_res * e_near))
 
 
-def rate_loss_adaptive_realization(n, r_intra, cfg, fit=None, e_iout=None):
-    """Per-realization rate-loss bound at the adaptive integer allocation.
+def rate_loss_adaptive_realization(n, r_intra, cfg, fit=None, e_iout=None,
+                                   b_tot=None, e_log=None):
+    """Per-realization rate-loss bound at the adaptive integer allocation
+    of b_tot bits (default cfg.b_tot).
 
     Returns (loss, allocation).  The low-/high-SNR form is selected by the
-    allocation's regime flag.
+    allocation's regime flag.  `e_log` is E{log2(I_out + 1/SNR)} under the
+    Gamma fit; callers looping over realizations pass it precomputed.
     """
     d = _require_follow(cfg)
     n_t = n + d
+    b_tot = cfg.b_tot if b_tot is None else b_tot
     if e_iout is None:
         e_iout = expected_iout(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
-    if fit is None:
-        fit = iout_gamma_fit(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
+    if e_log is None:
+        if fit is None:
+            fit = iout_gamma_fit(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
+        e_log = expected_log2_gamma_plus(fit, cfg.inv_snr)
     alloc = feedback.adaptive_allocation(
-        r_intra, cfg.b_tot, n_t, cfg.alpha, e_iout, cfg.inv_snr)
+        r_intra, b_tot, n_t, cfg.alpha, e_iout, cfg.inv_snr)
     floor = e_iout + cfg.inv_snr
-    e_log = expected_log2_gamma_plus(fit, cfg.inv_snr)
 
     if n_t <= 1:
         return 0.0, alloc
@@ -564,29 +569,39 @@ def rate_loss_adaptive_realization(n, r_intra, cfg, fit=None, e_iout=None):
     gm = float(np.prod((1.0 + np.asarray(r_intra)[kset]) ** (-cfg.alpha / k)))
     if alloc.regime is feedback.Regime.DOMINANT_RESIDUAL:
         loss += (math.log2(g2 * k * gm)
-                 + (alloc.b0 - cfg.b_tot) / (k * (n_t - 1.0)))
+                 + (alloc.b0 - b_tot) / (k * (n_t - 1.0)))
     else:
-        b_i = cfg.b_tot - alloc.b0
+        b_i = b_tot - alloc.b0
         loss += (math.log2(floor)
                  + _LOG2E * g2 / floor * k * 2.0 ** (-b_i / (k * (n_t - 1.0))) * gm)
     return loss, alloc
 
 
-def rate_loss_ub_adaptive(cfg, geometry_trials=2000, seed=None):
+def rate_loss_ub_adaptive(cfg, geometry_trials=2000, seed=None, b_tots=None):
     """Network-average adaptive rate-loss bound: Monte Carlo over deployment
-    geometry with analytical channel terms."""
+    geometry with analytical channel terms.
+
+    Returns the bound at cfg.b_tot, or, given a sequence `b_tots`, a list
+    with the bound at each budget.  The geometry stream (seed, 104729, i)
+    does not depend on the budget, so one set of draws serves the grid.
+    """
     _require_follow(cfg)
+    budgets = [cfg.b_tot] if b_tots is None else [int(b) for b in b_tots]
     e_iout = expected_iout(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
     fit = iout_gamma_fit(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
+    e_log = expected_log2_gamma_plus(fit, cfg.inv_snr)
     seed = cfg.seed if seed is None else seed
-    total = 0.0
+    totals = [0.0] * len(budgets)
     for i in range(geometry_trials):
         rng = np.random.default_rng((seed, 104729, i))
         _, cluster, _ = geometry.sample_typical_cluster(cfg, rng)
-        loss, _ = rate_loss_adaptive_realization(
-            cluster.n_interferers, cluster.intra_dist, cfg, fit, e_iout)
-        total += loss
-    return total / geometry_trials
+        for k, b_tot in enumerate(budgets):
+            loss, _ = rate_loss_adaptive_realization(
+                cluster.n_interferers, cluster.intra_dist, cfg,
+                e_iout=e_iout, b_tot=b_tot, e_log=e_log)
+            totals[k] += loss
+    means = [total / geometry_trials for total in totals]
+    return means[0] if b_tots is None else means
 
 
 # ---------------------------------------------------------------------------

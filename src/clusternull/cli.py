@@ -190,11 +190,18 @@ def _cfg_at_ratio(cfg, ratio):
     return replace(cfg, lambda_c=cfg.lambda_b / ratio)
 
 
-def _mc_rate(cfg, token):
+def _collect(cfg, series):
+    """One trial collection serving every strategy in `series`: the
+    limited-feedback ones become (policy, cfg.b_tot) pairs."""
+    return montecarlo.collect_trials(
+        cfg, [(LF_STRATEGIES[s], cfg.b_tot) for s in series if s in LF_STRATEGIES])
+
+
+def _strategy(token):
+    """(montecarlo strategy, policy) of a CLI series token."""
     if token in LF_STRATEGIES:
-        policy = LF_STRATEGIES[token]
-        return montecarlo.estimate_rate(cfg, "lf", policy)
-    return montecarlo.estimate_rate(cfg, token)
+        return "lf", LF_STRATEGIES[token]
+    return token, None
 
 
 def _analytic_rate(cfg, token):
@@ -230,6 +237,7 @@ def run(spec):
 
     if spec.command == "coverage":
         ts = [10.0 ** (tdb / 10.0) for tdb in spec.grid]
+        arrays = _collect(cfg, spec.series) if want_mc else None
         per_series = {}
         for s in spec.series:
             mc_vals = [None] * len(ts)
@@ -237,11 +245,9 @@ def run(spec):
             an_vals = [None] * len(ts)
             an_errs = [None] * len(ts)
             if want_mc:
-                if s in LF_STRATEGIES:
-                    ests = montecarlo.estimate_coverage(
-                        cfg, ts, "lf", LF_STRATEGIES[s])
-                else:
-                    ests = montecarlo.estimate_coverage(cfg, ts, s)
+                strategy, policy = _strategy(s)
+                ests = montecarlo.estimate_coverage(cfg, ts, strategy, policy,
+                                                    arrays=arrays)
                 mc_vals = [e.mean for e in ests]
                 mc_cis = [e.ci95_halfwidth for e in ests]
             if want_an and s == "icin":
@@ -260,11 +266,14 @@ def run(spec):
     if spec.command in ("rate", "sweep"):
         for ratio in spec.grid:
             cfg_r = _cfg_at_ratio(cfg, ratio)
+            arrays = _collect(cfg_r, spec.series) if want_mc else None
             row = [_fmt(ratio), _fmt(ratio)]
             for s in spec.series:
                 mc_mean = mc_ci = an_val = an_err = None
                 if want_mc:
-                    est = _mc_rate(cfg_r, s)
+                    strategy, policy = _strategy(s)
+                    est = montecarlo.estimate_rate(cfg_r, strategy, policy,
+                                                   arrays=arrays)
                     mc_mean, mc_ci = est.mean, est.ci95_halfwidth
                 if want_an:
                     an_val, an_err = _analytic_rate(cfg_r, s)
@@ -275,19 +284,27 @@ def run(spec):
     if spec.command == "rate-loss":
         if not isinstance(cfg.antenna_mode, FollowN):
             raise ValueError("rate-loss needs antennas following N (use dnt)")
-        for b_tot in spec.grid:
-            cfg_b = replace(cfg, b_tot=int(b_tot))
+        for s in spec.series:
+            if s not in montecarlo.POLICIES:
+                raise ValueError(f"rate-loss series must be a policy, got {s!r}")
+        budgets = [int(b_tot) for b_tot in spec.grid]
+        if want_mc:
+            # every (policy, b_tot) cell reads its column of one collection
+            arrays = montecarlo.collect_trials(
+                cfg, [(s, b) for b in budgets for s in spec.series])
+        if want_an and "adaptive" in spec.series:
+            adaptive_ub = analysis.rate_loss_ub_adaptive(cfg, b_tots=budgets)
+        for k, b_tot in enumerate(spec.grid):
+            cfg_b = replace(cfg, b_tot=budgets[k])
             row = [_fmt(b_tot), _fmt(b_tot)]
             for s in spec.series:
-                if s not in montecarlo.POLICIES:
-                    raise ValueError(f"rate-loss series must be a policy, got {s!r}")
                 mc_mean = mc_ci = an_val = an_err = None
                 if want_mc:
-                    est = montecarlo.estimate_rate_loss(cfg_b, s)
+                    est = montecarlo.estimate_rate_loss(cfg_b, s, arrays=arrays)
                     mc_mean, mc_ci = est.mean, est.ci95_halfwidth
                 if want_an:
                     if s == "adaptive":
-                        an_val = analysis.rate_loss_ub_adaptive(cfg_b)
+                        an_val = adaptive_ub[k]
                     else:
                         an_val = analysis.rate_loss_ub_equal(
                             cfg_b, bias=(s == "equal-bias"))

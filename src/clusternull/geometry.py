@@ -1,12 +1,15 @@
 """Two-tier Poisson deployment sampling and typical-cluster extraction.
 
-Units: densities are free parameters but the intended normalization is
-lambda_b = 1 with lengths in units of lambda_b^(-1/2); the bounds depend
-only on lambda_b/lambda_c and alpha after that scaling.  The observation
-window is a disk around the typical user (the origin) holding
-`window_cluster_count` clusters on average.  Realizations whose serving
-cluster cell reaches the outer 10% annulus of the window are rejected to
-suppress edge effects.
+Units: densities are free parameters and lengths are in the units the
+path loss (1+r)^alpha is written in.  That law is not scale free: the +1
+fixes a physical length, so the model and its bounds depend on the
+absolute density lambda_b, not only on lambda_b/lambda_c and alpha.  The
+observation window is a disk around the typical user (the origin) holding
+`window_cluster_count` clusters on average.  `sample_typical_cluster`
+rejects realizations whose serving cluster cell reaches the outer 10%
+annulus of the window, to suppress edge effects; `build_typical_cluster`
+extracts the cluster of any realization and leaves that rule to the
+sampler.
 """
 
 import math
@@ -90,6 +93,7 @@ class TypicalCluster:
     r_M: float                # circumscribed radius of the cluster cell
     out_index: np.ndarray     # every other BS in the window
     out_dist: np.ndarray
+    cell_reach: float         # farthest cluster-cell vertex from the user
 
     @property
     def n_interferers(self):
@@ -112,8 +116,9 @@ def sample_realization(cfg, rng):
     bs = _uniform_disk(rng, n_b, radius)
     clusters = _uniform_disk(rng, n_c, radius)
     if n_b > 0 and n_c > 0:
-        d2 = ((bs[:, None, :] - clusters[None, :, :]) ** 2).sum(axis=2)
-        assoc = np.argmin(d2, axis=1)
+        dx = bs[:, 0, None] - clusters[None, :, 0]
+        dy = bs[:, 1, None] - clusters[None, :, 1]
+        assoc = np.argmin(dx * dx + dy * dy, axis=1)
     else:
         assoc = np.zeros(n_b, dtype=int)
     return NetworkRealization(
@@ -171,7 +176,8 @@ def build_typical_cluster(net):
     """Extract the tagged cluster around the typical user at the origin.
 
     Raises DegenerateRealizationError (caller resamples) when the window is
-    empty or the serving cluster's cell reaches the guard annulus.
+    empty or the serving cluster's cell collapses.  Edge effects are the
+    sampler's concern: `cell_reach` reports how far the cell extends.
     """
     n_b = len(net.bs_points)
     n_c = len(net.cluster_points)
@@ -206,9 +212,7 @@ def build_typical_cluster(net):
     poly = voronoi_cell(c0, neighbors, net.window_radius)
     if len(poly) == 0:
         raise DegenerateRealizationError("serving cluster cell collapsed")
-    vert_from_origin = np.hypot(poly[:, 0], poly[:, 1])
-    if np.max(vert_from_origin) > _GUARD_FRACTION * net.window_radius:
-        raise DegenerateRealizationError("serving cluster cell in guard annulus")
+    cell_reach = float(np.max(np.hypot(poly[:, 0], poly[:, 1])))
     r_M = float(np.max(np.hypot(*(poly - c0).T)))
 
     return TypicalCluster(
@@ -221,6 +225,7 @@ def build_typical_cluster(net):
         r_M=r_M,
         out_index=out_index,
         out_dist=out_dist,
+        cell_reach=cell_reach,
     )
 
 
@@ -245,7 +250,8 @@ def typical_bs_cluster_counts(net, interior_fraction=0.7):
 
 
 def sample_typical_cluster(cfg, rng, max_attempts=1000):
-    """Sample realizations until one passes the typical-cluster checks.
+    """Sample realizations until one yields a typical cluster whose cell
+    stays clear of the window's guard annulus.
 
     Returns (realization, cluster, rejections).
     """
@@ -253,8 +259,13 @@ def sample_typical_cluster(cfg, rng, max_attempts=1000):
     for _ in range(max_attempts):
         net = sample_realization(cfg, rng)
         try:
-            return net, build_typical_cluster(net), rejections
+            cluster = build_typical_cluster(net)
         except DegenerateRealizationError:
             rejections += 1
+            continue
+        if cluster.cell_reach > _GUARD_FRACTION * net.window_radius:
+            rejections += 1
+            continue
+        return net, cluster, rejections
     raise DegenerateRealizationError(
         f"no acceptable realization in {max_attempts} attempts")

@@ -3,9 +3,20 @@ estimators for coverage, average rate, and mean rate loss.
 
 Reproducibility: trial i draws everything from the counter-derived stream
 default_rng((seed, i)), and one trial's random tape is consumed in a fixed
-order that does not depend on the feedback policy.  Estimates therefore
-pair exactly across policies run with the same seed (common random
-numbers), and results are bit-identical for any worker count.
+order that depends neither on the feedback policy nor on the bit budget.
+Every limited-feedback series is a (policy, b_tot) pair, and one trial
+evaluates all requested pairs on the same draws: geometry, channels,
+nulling directions, and the quantization uniforms.  Estimates therefore
+pair exactly across policies and budgets (common random numbers), a
+multi-pair collection equals the single-pair collections column for
+column, and results are bit-identical for any worker count.
+
+A pair can change a trial's draws in one way only: its limited-feedback
+`zf_null_beamformer` call raises RankDeficientError and the whole
+realization is resampled.  The collinearity check depends only on the
+nulling directions, which perfect-CSI nulling has already passed, so the
+one reason left is the measure-zero event that the quantized desired
+direction lies in the nulled span.
 """
 
 import logging
@@ -13,7 +24,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -31,10 +41,10 @@ POLICIES = ("equal-bias", "equal-nobias", "adaptive")
 class TrialOutcome:
     sinr_ic: float                 # SINR under the coordination policy
     sinr_nic: float                # SINR under unconditional beamforming
-    sinr_ic_lf: Optional[float]    # SINR with limited-feedback coordination
+    sinr_lf: tuple                 # limited-feedback SINR, one per (policy, b_tot)
     n_interferers: int
     regime_used: str               # "icin" | "single_cell"
-    allocation: Optional[feedback.BitAllocation]
+    allocations: tuple             # BitAllocation per pair; None where infeasible
     rejections: int = 0
 
 
@@ -76,30 +86,44 @@ def _equal_allocation_extended(b_tot, n, bias):
         )
 
 
-def _make_allocation(policy, cluster, n_t, cfg, e_iout):
+def _make_allocation(policy, b_tot, cluster, n_t, cfg, e_iout):
     if policy == "equal-bias":
-        return _equal_allocation_extended(cfg.b_tot, cluster.n_interferers, True)
+        return _equal_allocation_extended(b_tot, cluster.n_interferers, True)
     if policy == "equal-nobias":
-        return _equal_allocation_extended(cfg.b_tot, cluster.n_interferers, False)
+        return _equal_allocation_extended(b_tot, cluster.n_interferers, False)
     if policy == "adaptive":
         return feedback.adaptive_allocation(
-            cluster.intra_dist, cfg.b_tot, n_t, cfg.alpha, e_iout, cfg.inv_snr)
+            cluster.intra_dist, b_tot, n_t, cfg.alpha, e_iout, cfg.inv_snr)
     raise ValueError(f"unknown policy {policy!r}")
 
 
-def run_trial(cfg, rng, policy=None, e_iout=None):
-    """One accepted realization evaluated under every strategy.
+def _check_pairs(pairs):
+    """Normalize (policy, b_tot) pairs to a tuple of distinct (str, int)."""
+    out = tuple(dict.fromkeys((str(policy), int(b_tot)) for policy, b_tot in pairs))
+    for policy, _ in out:
+        if policy not in POLICIES:
+            raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
+    return out
+
+
+def _needs_e_iout(pairs):
+    return any(policy == "adaptive" for policy, _ in pairs)
+
+
+def run_trial(cfg, rng, pairs=(), e_iout=None):
+    """One accepted realization evaluated under every strategy and every
+    limited-feedback (policy, b_tot) pair.
 
     The random tape per trial is: geometry, channel set, nulling-constraint
     directions, no-coordination intra fading, then the limited-feedback
-    draws; bit values only reweight the tape, so policies share randomness.
+    draws; bit values only reweight the tape, so pairs share randomness.
     """
-    if policy == "adaptive" and e_iout is None:
+    if e_iout is None and _needs_e_iout(pairs):
         e_iout = analysis.expected_iout(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
     for _ in range(64):
         net, cluster, rejections = geometry.sample_typical_cluster(cfg, rng)
         try:
-            return _trial_from_cluster(cfg, cluster, rng, policy, e_iout,
+            return _trial_from_cluster(cfg, cluster, rng, pairs, e_iout,
                                        rejections)
         except RankDeficientError:
             log.warning("rank-deficient nulling matrix; resampling realization")
@@ -107,7 +131,7 @@ def run_trial(cfg, rng, policy=None, e_iout=None):
     raise RankDeficientError("persistent rank deficiency; check configuration")
 
 
-def _trial_from_cluster(cfg, cluster, rng, policy, e_iout, rejections):
+def _trial_from_cluster(cfg, cluster, rng, pairs, e_iout, rejections):
     n = cluster.n_interferers
     mode = cfg.antenna_mode
     if isinstance(mode, geometry.FollowN):
@@ -154,13 +178,15 @@ def _trial_from_cluster(cfg, cluster, rng, policy, e_iout, rejections):
         sinr_ic = sinr_nic
         regime = "single_cell"
 
-    sinr_lf = None
-    alloc = None
-    if policy is not None:
-        if not feasible:
-            sinr_lf = sinr_nic
-        else:
-            alloc = _make_allocation(policy, cluster, n_t, cfg, e_iout)
+    if not feasible:
+        sinr_lf = tuple(float(sinr_nic) for _ in pairs)
+        allocations = (None,) * len(pairs)
+    else:
+        g_norm2 = np.linalg.norm(chans.g_intra, axis=1) ** 2
+        sinr_lf = []
+        allocations = []
+        for policy, b_tot in pairs:
+            alloc = _make_allocation(policy, b_tot, cluster, n_t, cfg, e_iout)
             if alloc.b0 >= 1 and n_t > 1:
                 z0 = float(feedback.sample_rvq_sin2(n_t, alloc.b0, u0))
                 e0 = _orthogonal_direction(w0_raw, h_dir)
@@ -177,7 +203,6 @@ def _trial_from_cluster(cfg, cluster, rng, policy, e_iout, rejections):
             des_lf = abs(chans.h0.conj() @ f0_hat.f) ** 2 / l0
 
             i_res = 0.0
-            g_norm2 = np.linalg.norm(chans.g_intra, axis=1) ** 2
             for ell in range(n):
                 bits = int(alloc.b_intra[ell])
                 if bits >= 1:
@@ -191,15 +216,16 @@ def _trial_from_cluster(cfg, cluster, rng, policy, e_iout, rejections):
                     # no bits fed back: that station nulls nothing toward the
                     # user, so the effective fading is plain Exp(1)
                     i_res += pl_intra[ell] * zero_bit_fading[ell]
-            sinr_lf = des_lf / (i_out + i_res + inv_snr)
+            sinr_lf.append(float(des_lf / (i_out + i_res + inv_snr)))
+            allocations.append(alloc)
 
     return TrialOutcome(
         sinr_ic=float(sinr_ic),
         sinr_nic=float(sinr_nic),
-        sinr_ic_lf=None if sinr_lf is None else float(sinr_lf),
+        sinr_lf=tuple(sinr_lf),
         n_interferers=n,
         regime_used=regime,
-        allocation=alloc,
+        allocations=tuple(allocations),
         rejections=rejections,
     )
 
@@ -212,10 +238,20 @@ def _trial_from_cluster(cfg, cluster, rng, policy, e_iout, rejections):
 class TrialArrays:
     sinr_ic: np.ndarray
     sinr_nic: np.ndarray
-    sinr_lf: np.ndarray          # nan when no policy requested
+    sinr_lf: np.ndarray          # (trials, len(pairs)), one column per pair
+    pairs: tuple                 # the (policy, b_tot) pairs, in column order
     n_interferers: np.ndarray
     single_cell: np.ndarray      # bool, thresholding fell back to beamforming
     rejections: int
+
+    def lf(self, policy, b_tot):
+        """The limited-feedback SINR column of one (policy, b_tot) pair."""
+        try:
+            k = self.pairs.index((policy, int(b_tot)))
+        except ValueError:
+            raise ValueError(f"limited-feedback series ({policy!r}, {b_tot}) "
+                             "was not collected") from None
+        return self.sinr_lf[:, k]
 
 
 def _worker_count():
@@ -226,18 +262,18 @@ def _worker_count():
         return 1
 
 
-def _run_range(cfg, policy, e_iout, lo, hi):
+def _run_range(cfg, pairs, e_iout, lo, hi):
     m = hi - lo
-    out = np.empty((m, 4))
+    out = np.empty((m, 3 + len(pairs)))
     single = np.zeros(m, dtype=bool)
     rej = 0
     for i in range(m):
         rng = np.random.default_rng((cfg.seed, lo + i))
-        o = run_trial(cfg, rng, policy, e_iout)
+        o = run_trial(cfg, rng, pairs, e_iout)
         out[i, 0] = o.sinr_ic
         out[i, 1] = o.sinr_nic
-        out[i, 2] = math.nan if o.sinr_ic_lf is None else o.sinr_ic_lf
-        out[i, 3] = o.n_interferers
+        out[i, 2] = o.n_interferers
+        out[i, 3:] = o.sinr_lf
         single[i] = o.regime_used == "single_cell"
         rej += o.rejections
     return out, single, rej
@@ -247,21 +283,22 @@ def _run_range_star(args):
     return _run_range(*args)
 
 
-def collect_trials(cfg, policy=None):
-    """Run cfg.trials independent trials; deterministic for a fixed seed
-    regardless of CLUSTER_SIM_THREADS."""
-    if policy is not None and policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
+def collect_trials(cfg, pairs=()):
+    """Run cfg.trials independent trials, each evaluating every
+    limited-feedback (policy, b_tot) pair in `pairs` on the same draws;
+    deterministic for a fixed seed regardless of CLUSTER_SIM_THREADS.
+    cfg.b_tot plays no part: each pair carries its own budget."""
+    pairs = _check_pairs(pairs)
     e_iout = None
-    if policy == "adaptive":
+    if _needs_e_iout(pairs):
         e_iout = analysis.expected_iout(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
     workers = _worker_count()
     trials = cfg.trials
     if workers == 1:
-        blocks = [_run_range(cfg, policy, e_iout, 0, trials)]
+        blocks = [_run_range(cfg, pairs, e_iout, 0, trials)]
     else:
         step = max(64, -(-trials // (workers * 4)))
-        ranges = [(cfg, policy, e_iout, lo, min(lo + step, trials))
+        ranges = [(cfg, pairs, e_iout, lo, min(lo + step, trials))
                   for lo in range(0, trials, step)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_run_range_star, ranges))
@@ -274,44 +311,52 @@ def collect_trials(cfg, policy=None):
     return TrialArrays(
         sinr_ic=data[:, 0],
         sinr_nic=data[:, 1],
-        sinr_lf=data[:, 2],
-        n_interferers=data[:, 3].astype(int),
+        sinr_lf=data[:, 3:],
+        pairs=pairs,
+        n_interferers=data[:, 2].astype(int),
         single_cell=single,
         rejections=rejections,
     )
 
 
-def _series(arrays, strategy):
+def _pairs_for(cfg, policy):
+    return () if policy is None else ((policy, cfg.b_tot),)
+
+
+def _series(arrays, cfg, strategy, policy):
     if strategy == "icin":
         return arrays.sinr_ic
     if strategy == "nic":
         return arrays.sinr_nic
     if strategy == "lf":
-        if np.isnan(arrays.sinr_lf).any():
+        if policy is None:
             raise ValueError("limited-feedback series needs a policy")
-        return arrays.sinr_lf
+        return arrays.lf(policy, cfg.b_tot)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def estimate_coverage(cfg, t_grid, strategy="icin", policy=None,
                       arrays=None):
-    """Coverage estimates (one per threshold, linear scale)."""
+    """Coverage estimates (one per threshold, linear scale).  The
+    limited-feedback series is the (policy, cfg.b_tot) column."""
     if arrays is None:
-        arrays = collect_trials(cfg, policy)
-    sinr = _series(arrays, strategy)
+        arrays = collect_trials(cfg, _pairs_for(cfg, policy))
+    sinr = _series(arrays, cfg, strategy, policy)
     return [_mean_ci(sinr >= t) for t in np.asarray(t_grid, dtype=float)]
 
 
 def estimate_rate(cfg, strategy="icin", policy=None, arrays=None):
     if arrays is None:
-        arrays = collect_trials(cfg, policy)
-    sinr = _series(arrays, strategy)
+        arrays = collect_trials(cfg, _pairs_for(cfg, policy))
+    sinr = _series(arrays, cfg, strategy, policy)
     return _mean_ci(np.log2(1.0 + sinr))
 
 
 def estimate_rate_loss(cfg, policy, arrays=None):
-    """Mean rate loss of limited feedback vs perfect CSI, paired per trial."""
+    """Mean rate loss of limited feedback at (policy, cfg.b_tot) vs perfect
+    CSI, paired per trial."""
     if arrays is None:
-        arrays = collect_trials(cfg, policy)
-    loss = np.log2(1.0 + arrays.sinr_ic) - np.log2(1.0 + arrays.sinr_lf)
+        arrays = collect_trials(cfg, _pairs_for(cfg, policy))
+    lf = arrays.lf(policy, cfg.b_tot)
+    loss = np.log2(1.0 + arrays.sinr_ic) - np.log2(1.0 + lf)
     return _mean_ci(loss)

@@ -194,11 +194,15 @@ def rate_loss_sweep():
     # well conditioned there (see module docstring)
     base = SimConfig(lambda_b=1.0, lambda_c=1.0 / 3.0, alpha=4.0, snr_db=20.0,
                      antenna_mode=FollowN(5), trials=3000, seed=88)
+    budgets = (10, 20, 30, 40, 50)
+    # one collection: every (policy, b_tot) pair shares each trial's draws
+    arrays = montecarlo.collect_trials(
+        base, [(p, b) for b in budgets for p in ("equal-bias", "adaptive")])
     rows = []
-    for b_tot in (10, 20, 30, 40, 50):
+    for b_tot in budgets:
         cfg = replace(base, b_tot=b_tot)
-        eq = montecarlo.estimate_rate_loss(cfg, "equal-bias")
-        ad = montecarlo.estimate_rate_loss(cfg, "adaptive")
+        eq = montecarlo.estimate_rate_loss(cfg, "equal-bias", arrays=arrays)
+        ad = montecarlo.estimate_rate_loss(cfg, "adaptive", arrays=arrays)
         ub = analysis.rate_loss_ub_equal(cfg)
         rows.append((b_tot, ub, eq, ad))
     return rows

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -360,3 +361,14 @@ def test_circumscribed_ccdf_bound_shape():
     for y in (0.9, 0.5, 0.1, 1e-3):
         q = analysis._circum_inverse_q(y)
         assert analysis._circum_ccdf_q(q) == pytest.approx(y, rel=1e-9)
+
+
+def test_rate_loss_ub_adaptive_grid_equals_scalar_calls():
+    # one geometry set serves the whole budget grid, value for value
+    cfg = cfg_plateau(b_tot=30, seed=3)
+    budgets = (8, 30, 55)
+    grid = analysis.rate_loss_ub_adaptive(cfg, geometry_trials=120, b_tots=budgets)
+    scalar = [analysis.rate_loss_ub_adaptive(replace(cfg, b_tot=b),
+                                             geometry_trials=120)
+              for b in budgets]
+    assert grid == scalar

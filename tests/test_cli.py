@@ -130,3 +130,43 @@ def test_mode_both_rows_consistent(tmp_path):
         mc_mean, mc_ci = float(row[2]), float(row[3])
         lb = float(row[4])
         assert lb <= mc_mean + 2.0 * mc_ci + 1e-12
+
+
+def _series_columns(path, series):
+    """{(grid value, series): the four value cells} of a CSV."""
+    _, header, rows = read_table(path)
+    out = {}
+    for row in rows:
+        for s in series:
+            k = header.index(f"{s}.mc_mean") if len(series) > 1 else 2
+            out[row[0], s] = row[k:k + 4]
+    return out
+
+
+@pytest.mark.parametrize("command,flag,grid,series,extra", [
+    ("sweep", "--strategy", ("2", "5"), ("icin", "nic", "lf-adaptive"),
+     ["--mode", "mc", "--nt", "12", "--trials", "40"]),
+    ("rate-loss", "--policy", ("20", "40"), ("adaptive", "equal-bias"),
+     ["--mode", "both", "--lambda-b", "1", "--snr-db", "20", "--dnt", "5",
+      "--ratio", "3", "--trials", "40"]),
+])
+def test_one_collection_serves_every_series(tmp_path, command, flag, grid,
+                                            series, extra):
+    # a multi-series run equals the single-series runs at the same seed,
+    # value for value
+    grid_flag = "--ratio-grid" if command == "sweep" else "--btot-grid"
+    base = [command, *extra, "--seed", "31"]
+    multi = tmp_path / "multi.csv"
+    r = run_cli([*base, grid_flag, ",".join(grid), flag, ",".join(series),
+                 "--out", str(multi)])
+    assert r.returncode == 0, r.stderr
+    got = _series_columns(multi, series)
+    assert len(got) == len(grid) * len(series)
+    for s in series:
+        for g in grid:
+            one = tmp_path / f"{s}-{g}.csv"
+            r = run_cli([*base, grid_flag, g, flag, s, "--out", str(one)])
+            assert r.returncode == 0, r.stderr
+            want = _series_columns(one, (s,))
+            assert all(cells[0] != "" for cells in want.values())
+            assert {k: got[k] for k in want} == want

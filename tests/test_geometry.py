@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from clusternull import analysis
+from clusternull import analysis, geometry
 from clusternull.errors import DegenerateRealizationError
 from clusternull.geometry import (
     FollowN,
@@ -169,7 +169,7 @@ def test_interferer_count_pmf_lemma_fit():
     assert tv < 0.03
 
 
-def test_degenerate_realizations_rejected():
+def test_degenerate_realizations_rejected(monkeypatch):
     net = NetworkRealization(
         bs_points=np.zeros((0, 2)),
         cluster_points=np.zeros((0, 2)),
@@ -178,15 +178,19 @@ def test_degenerate_realizations_rejected():
     )
     with pytest.raises(DegenerateRealizationError):
         build_typical_cluster(net)
-    # guard annulus: a cell stretching to the window edge is rejected
+    # guard annulus: the sampler rejects a cell stretching to the window
+    # edge (the extractor reports its reach and leaves the rule to it)
     net = NetworkRealization(
         bs_points=np.array([[0.5, 0.0]]),
         cluster_points=np.array([[0.0, 0.0], [30.0, 0.0]]),
         window_radius=10.0,
         bs_to_cluster=np.array([0]),
     )
+    assert build_typical_cluster(net).cell_reach > 0.9 * net.window_radius
+    monkeypatch.setattr(geometry, "sample_realization", lambda cfg, rng: net)
     with pytest.raises(DegenerateRealizationError):
-        build_typical_cluster(net)
+        sample_typical_cluster(cfg_ratio(3.0), np.random.default_rng(0),
+                               max_attempts=3)
 
 
 def test_reproducible_sampling():
@@ -195,3 +199,16 @@ def test_reproducible_sampling():
     b = sample_realization(cfg, np.random.default_rng((42, 0)))
     assert np.array_equal(a.bs_points, b.bs_points)
     assert np.array_equal(a.bs_to_cluster, b.bs_to_cluster)
+
+
+@pytest.mark.parametrize("ratio", [1.0, 3.0, 6.0])
+def test_association_matches_dense_argmin(ratio):
+    # the coordinate-wise distance sum gives the same squares and the same
+    # single addition as the dense (n_b, n_c, 2) sum, hence the same argmin
+    cfg = cfg_ratio(ratio)
+    rng = np.random.default_rng((17, int(ratio)))
+    for _ in range(30):
+        net = sample_realization(cfg, rng)
+        bs, cl = net.bs_points, net.cluster_points
+        d2 = ((bs[:, None, :] - cl[None, :, :]) ** 2).sum(axis=2)
+        assert np.array_equal(net.bs_to_cluster, d2.argmin(axis=1))

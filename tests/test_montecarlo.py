@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,13 +24,13 @@ def test_trial_basic_invariants():
     cfg = cfg_make(trials=1)
     for i in range(50):
         rng = np.random.default_rng((3, i))
-        o = montecarlo.run_trial(cfg, rng, policy="equal-bias")
+        o = montecarlo.run_trial(cfg, rng, (("equal-bias", cfg.b_tot),))
         assert o.sinr_ic >= 0.0 and o.sinr_nic >= 0.0
-        assert o.sinr_ic_lf is not None
+        assert len(o.sinr_lf) == 1
         # quantization only hurts, exactly, per trial
-        assert o.sinr_ic_lf <= o.sinr_ic * (1.0 + 1e-12)
+        assert o.sinr_lf[0] <= o.sinr_ic * (1.0 + 1e-12)
         assert o.regime_used == "icin"
-        assert o.allocation.total == cfg.b_tot
+        assert o.allocations[0].total == cfg.b_tot
 
 
 def test_lf_converges_to_perfect_csi_with_many_bits():
@@ -37,8 +38,8 @@ def test_lf_converges_to_perfect_csi_with_many_bits():
     cfg = cfg_make(trials=1, b_tot=60 * 8)
     for i in range(20):
         o = montecarlo.run_trial(cfg, np.random.default_rng((11, i)),
-                                 policy="equal-bias")
-        assert o.sinr_ic_lf >= o.sinr_ic * 0.97
+                                 (("equal-bias", cfg.b_tot),))
+        assert o.sinr_lf[0] >= o.sinr_ic * 0.97
 
 
 def test_fixed_nt_thresholding_branches():
@@ -57,8 +58,8 @@ def test_fixed_nt_thresholding_branches():
 
 def test_reproducibility_and_thread_independence():
     cfg = cfg_make(trials=64, seed=9)
-    a = montecarlo.collect_trials(cfg, policy="adaptive")
-    b = montecarlo.collect_trials(cfg, policy="adaptive")
+    a = montecarlo.collect_trials(cfg, (("adaptive", cfg.b_tot),))
+    b = montecarlo.collect_trials(cfg, (("adaptive", cfg.b_tot),))
     assert np.array_equal(a.sinr_ic, b.sinr_ic)
     assert np.array_equal(a.sinr_lf, b.sinr_lf)
 
@@ -69,7 +70,7 @@ def test_reproducibility_and_thread_independence():
         "from clusternull.geometry import SimConfig, FollowN;"
         f"cfg = SimConfig(lambda_b={LAM}, lambda_c={LAM}/3, alpha=4.0, snr_db={SNR},"
         "antenna_mode=FollowN(4), trials=64, seed=9);"
-        "a = montecarlo.collect_trials(cfg, policy='adaptive');"
+        "a = montecarlo.collect_trials(cfg, (('adaptive', cfg.b_tot),));"
         "print(repr(a.sinr_ic.sum()), repr(np.nansum(a.sinr_lf)))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env,
@@ -82,8 +83,8 @@ def test_reproducibility_and_thread_independence():
 def test_policy_runs_share_randomness():
     # the trial tape is policy-independent: perfect-CSI series identical
     cfg = cfg_make(trials=40, seed=4)
-    a = montecarlo.collect_trials(cfg, policy="equal-bias")
-    b = montecarlo.collect_trials(cfg, policy="adaptive")
+    a = montecarlo.collect_trials(cfg, (("equal-bias", cfg.b_tot),))
+    b = montecarlo.collect_trials(cfg, (("adaptive", cfg.b_tot),))
     assert np.array_equal(a.sinr_ic, b.sinr_ic)
     assert np.array_equal(a.sinr_nic, b.sinr_nic)
 
@@ -128,6 +129,33 @@ def test_residual_power_generator_mean_matches_beta_closed_form():
 
 def test_adaptive_policy_uses_cached_expected_iout():
     cfg = cfg_make(trials=16, seed=6, b_tot=24)
-    arrays = montecarlo.collect_trials(cfg, policy="adaptive")
-    assert np.all(np.isfinite(arrays.sinr_lf))
-    assert np.all(arrays.sinr_lf <= arrays.sinr_ic * (1.0 + 1e-12))
+    arrays = montecarlo.collect_trials(cfg, (("adaptive", cfg.b_tot),))
+    lf = arrays.lf("adaptive", cfg.b_tot)
+    assert np.all(np.isfinite(lf))
+    assert np.all(lf <= arrays.sinr_ic * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("mode,ratio", [(FollowN(4), 3.0), (FixedNt(4), 6.0)])
+def test_multi_pair_collection_matches_single_pair_runs(monkeypatch, threads,
+                                                        mode, ratio):
+    # one pass over every (policy, b_tot) pair equals separate single-pair
+    # collections at replace(cfg, b_tot=b), column for column and bit for bit;
+    # 70 trials split into blocks of 64 and 6 so a second worker runs
+    monkeypatch.setenv("CLUSTER_SIM_THREADS", threads)
+    cfg = cfg_make(ratio=ratio, mode=mode, trials=70, seed=21)
+    pairs = [(p, b) for b in (3, 24) for p in montecarlo.POLICIES]
+    multi = montecarlo.collect_trials(cfg, pairs)
+    assert multi.sinr_lf.shape == (70, len(pairs))
+    for policy, b_tot in pairs:
+        cfg_b = replace(cfg, b_tot=b_tot)
+        one = montecarlo.collect_trials(cfg_b, ((policy, b_tot),))
+        assert np.array_equal(multi.lf(policy, b_tot), one.sinr_lf[:, 0])
+        assert np.array_equal(multi.sinr_ic, one.sinr_ic)
+        assert np.array_equal(multi.sinr_nic, one.sinr_nic)
+        assert np.array_equal(multi.n_interferers, one.n_interferers)
+        assert multi.rejections == one.rejections
+        assert (montecarlo.estimate_rate_loss(cfg_b, policy, arrays=multi)
+                == montecarlo.estimate_rate_loss(cfg_b, policy))
+    with pytest.raises(ValueError):
+        multi.lf("adaptive", 25)
