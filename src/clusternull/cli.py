@@ -8,11 +8,10 @@ output CSV uses the same syntax (prefixed '# '), so a previous result file
 can be replayed directly via --config.
 
 Exit codes: 0 success, 2 bad configuration (also a value a bound finds
-outside its domain, such as --nt 1), 3 an analytic integral missed its
-error target, 4 a file could not be read or written, 5 any other package
-error while evaluating (for example no acceptable deployment realization
-within the sampler's attempt budget).  Each failure prints one `error:`
-line on stderr.
+outside its domain, such as --nt 1), 4 a file could not be read or
+written, 5 any other package error while evaluating (for example no
+acceptable deployment realization within the sampler's attempt budget).
+Each failure prints one `error:` line on stderr.
 """
 
 import argparse
@@ -23,11 +22,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import analysis, geometry, montecarlo
-from .errors import ClusterNullError, DomainError, QuadratureError
+from .errors import ClusterNullError, DomainError
 from .geometry import FixedNt, FollowN, SimConfig
 
 EXIT_CONFIG = 2
-EXIT_QUADRATURE = 3
 EXIT_IO = 4
 EXIT_MODEL = 5
 
@@ -159,9 +157,14 @@ def _build_spec(args, file_cfg):
         series = tuple(str(pick("strategy", str)).split(","))
         return RunSpec(command, mode, cfg, "ratio", grid, series, out)
     if command == "rate-loss":
+        if not isinstance(mode_ant, FollowN):
+            raise ValueError("rate-loss needs antennas following N (use dnt)")
         grid_text = getattr(args, "btot_grid", None) or file_cfg.get("btot_grid", "10:10:50")
         grid = parse_range(grid_text)
         series = tuple(str(pick("policy", str)).split(","))
+        for s in series:
+            if s not in montecarlo.POLICIES:
+                raise ValueError(f"rate-loss series must be a policy, got {s!r}")
         return RunSpec(command, mode, cfg, "b_tot", grid, series, out)
     if command == "pmf-n":
         max_n = int(pick("max_n", int))
@@ -282,11 +285,6 @@ def run(spec):
         return header, rows, _metadata(spec)
 
     if spec.command == "rate-loss":
-        if not isinstance(cfg.antenna_mode, FollowN):
-            raise ValueError("rate-loss needs antennas following N (use dnt)")
-        for s in spec.series:
-            if s not in montecarlo.POLICIES:
-                raise ValueError(f"rate-loss series must be a policy, got {s!r}")
         budgets = [int(b_tot) for b_tot in spec.grid]
         if want_mc:
             # every (policy, b_tot) cell reads its column of one collection
@@ -446,9 +444,6 @@ def main(argv=None):
         return EXIT_CONFIG
     try:
         header, rows, meta = run(spec)
-    except QuadratureError as exc:
-        print(f"error: quadrature failure: {exc}", file=sys.stderr)
-        return EXIT_QUADRATURE
     except DomainError as exc:
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -27,15 +27,3 @@ class BudgetExceededError(ClusterNullError, ValueError):
 
 class DegenerateRealizationError(ClusterNullError):
     """Sampled deployment fails the typical-cluster preconditions; resample."""
-
-
-class QuadratureError(ClusterNullError):
-    """A numerical integral missed its error target.
-
-    Attributes carry the achieved estimate so callers can log diagnostics.
-    """
-
-    def __init__(self, message, estimate=None, error=None):
-        super().__init__(message)
-        self.estimate = estimate
-        self.error = error

@@ -1,20 +1,15 @@
 """Special-function kernel: Gauss hypergeometric 2F1, log-Gamma, Beta, digamma.
 
-Everything here is self-contained scalar/vector numerics used by the
-analytical bounds.  The 2F1 evaluator only supports the regime the bounds
-need: c > b > 0 with z on the closed left half line (scalar entry point)
-plus a vectorized complex-argument variant for the parameter family
-2F1(1, b; b+1, z) that appears in every interference Laplace transform.
-The vectorized variant maps each point into one of three series windows
-and sums each window's series with a term count fixed up front from the
-window's largest |z|, so one evaluation costs a few array operations
-however many points it carries.
+Everything here is self-contained scalar numerics.  The 2F1 evaluator only
+supports the regime c > b > 0 with z on the closed left half line; the
+analytic bounds evaluate their vectorized real 2F1 values with
+scipy.special.hyp2f1, and this scalar evaluator stays as an independent
+oracle for the special-function acceptance checks.
 """
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy import integrate
 
 from .errors import DomainError
@@ -99,63 +94,6 @@ def hyp2f1(a, b, c, z):
         return SpecFunResult(scale * total, scale * err + 4e-16 * abs(scale * total))
     val, qerr = _euler_integral(a, b, c, z)
     return SpecFunResult(val, qerr)
-
-
-def hyp2f1_a1(b, z):
-    """Vectorized 2F1(1, b; b+1; z), 0 < b < 1, complex z with Re z <= 0.
-
-    This is the family every interference Laplace transform reduces to.
-    Three windows: direct series for small |z|, Pfaff series for moderate
-    |z|, and the 1/z linear transformation for large |z| (the second term
-    of the connection formula collapses because one numerator parameter
-    vanishes):
-
-        2F1(1,b;b+1;z) = b/(b-1) * (-z)^{-1} 2F1(1, 1-b; 2-b; 1/z)
-                         + pi*b/sin(pi*b) * (-z)^{-b}.
-    """
-    if not (0.0 < b < 1.0):
-        raise DomainError(f"hyp2f1_a1 requires 0 < b < 1, got b={b}")
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.real > 1e-12):
-        raise DomainError("hyp2f1_a1 requires Re z <= 0")
-    out = np.ones_like(z)
-    az = np.abs(z)
-
-    small = (az > 0.0) & (az <= 0.6)
-    mid = (az > 0.6) & (az < 1.5)
-    large = az >= 1.5
-
-    if np.any(small):
-        out[small] = _series_vec(1.0, b, b + 1.0, z[small])
-    if np.any(mid):
-        zm = z[mid]
-        w = zm / (zm - 1.0)
-        out[mid] = (1.0 - zm) ** (-1.0) * _series_vec(1.0, 1.0, b + 1.0, w)
-    if np.any(large):
-        zl = z[large]
-        inv = 1.0 / zl
-        t1 = b / (b - 1.0) * (-inv) * _series_vec(1.0, 1.0 - b, 2.0 - b, inv)
-        t2 = math.pi * b / math.sin(math.pi * b) * (-zl) ** (-b)
-        out[large] = t1 + t2
-    return out
-
-
-def _series_vec(a, b, c, z):
-    """Gauss series 2F1(a, b; c; z) on a complex array with all |z| < 1.
-
-    Only called with a = 1 and c > b, where every coefficient ratio
-    (a+k)(b+k) / ((c+k)(1+k)) = (b+k)/(c+k) lies in (0, 1): (b+k)/(b+1+k),
-    (1+k)/(b+1+k) and (1-b+k)/(2-b+k) in the three windows of hyp2f1_a1.
-    So term k is at most |z|^k in modulus, and n = ceil(ln 1e-16 / ln m)
-    terms, m = max|z|, leave every term past the last below 1e-16.  All n
-    terms come from one cumulative product over the (n, points) array of
-    ratio_k * z.
-    """
-    n = math.ceil(math.log(_SERIES_TOL) / math.log(float(np.max(np.abs(z)))))
-    k = np.arange(n, dtype=float)
-    ratio = (a + k) * (b + k) / ((c + k) * (1.0 + k))
-    terms = np.cumprod(ratio[:, None] * z[None, :], axis=0)
-    return 1.0 + terms.sum(axis=0)
 
 
 def digamma(x):

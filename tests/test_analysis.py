@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from clusternull import analysis, feedback, specfun
+from clusternull import analysis, feedback, montecarlo, specfun
 from clusternull.errors import DomainError
 from clusternull.geometry import FixedNt, FollowN, SimConfig
 
@@ -81,16 +81,23 @@ def test_laplace_vs_monte_carlo():
 
 def test_exclusion_kernel_vs_quadrature():
     for (x, s, alpha) in [(0.0, 0.5, 4.0), (1.0, 1.0, 4.0), (2.5, 8.0, 3.0)]:
-        got = analysis._excl_kernel(x, np.array([s + 0j]), alpha)[0].real
+        got = analysis._excl_kernel(x, np.array([s]), alpha)[0]
         want, _ = integrate.quad(
             lambda r: s * (1 + r) ** -alpha / (1 + s * (1 + r) ** -alpha) * r,
             x, np.inf, limit=300)
         assert abs(got - want) < 1e-9 * max(want, 1e-12)
+        moments = analysis._excl_moments(x, np.array([s]), alpha, 64)[0]
+        for m in (1, 12, 40, 63):
+            def integrand(r, m=m):
+                q = s * (1 + r) ** -alpha / (1 + s * (1 + r) ** -alpha)
+                return q ** m * (1 - q) * r
+            want, _ = integrate.quad(integrand, x, np.inf, limit=300)
+            assert abs(moments[m - 1] - want) < 1e-9 * max(want, 1e-12), (x, s, m)
 
 
 def test_annulus_point_laplace_vs_quadrature():
     r0, r_big, alpha, s = 0.5, 3.0, 4.0, 2.0
-    got = analysis.annulus_point_laplace(np.array([s + 0j]), r0, r_big, alpha)[0].real
+    got = analysis.annulus_point_laplace(np.array([s]), r0, r_big, alpha)[0]
     def integrand(r):
         return (1.0 / (1.0 + s * (1 + r) ** -alpha)) * 2.0 * r / (r_big ** 2 - r0 ** 2)
     want, _ = integrate.quad(integrand, r0, r_big, limit=200)
@@ -105,40 +112,73 @@ def test_annulus_binomial_vs_monte_carlo():
     r = np.sqrt(rng.uniform(r0 ** 2, r_big ** 2, (m, n)))
     tot = (rng.exponential(1.0, (m, n)) * (1 + r) ** -alpha).sum(axis=1)
     mc = np.exp(-s * tot).mean()
-    got = analysis.annulus_point_laplace(np.array([s + 0j]), r0, r_big, alpha)[0].real ** n
+    got = analysis.annulus_point_laplace(np.array([s]), r0, r_big, alpha)[0] ** n
     assert abs(got - mc) < 3e-3
 
 
 # ---------------------------------------------------------------------------
-# Fourier inversion
+# real-axis series engine
 # ---------------------------------------------------------------------------
 
-def test_fourier_ccdf_gamma_oracle():
-    # deterministic interference i0 makes the answer a Gamma tail
+def test_series_ccdf_gamma_oracle():
+    # deterministic interference i0 makes the answer a Gamma tail: the
+    # log-series is -s (i0 + 1/SNR) (1 - u)
     rng = np.random.default_rng(3)
     for _ in range(60):
         tl = 10.0 ** rng.uniform(-2, 3)
         i0 = 10.0 ** rng.uniform(-2, 0.5)
         d = int(rng.integers(1, 12))
         inv_snr = 10.0 ** rng.uniform(-2, 0)
-        val, err = analysis.fourier_ccdf(
-            tl * inv_snr,
-            lambda s: np.exp(-2j * np.pi * tl * s * i0),
-            lambda s: (1.0 - 2j * np.pi * s) ** (-float(d)) - 1.0,
-            tol=1e-4, drift_hint=tl * i0)
+        b = np.zeros(d)
+        b[0] = -tl * (i0 + inv_snr)
+        if d > 1:
+            b[1] = tl * (i0 + inv_snr)
+        val = analysis._exp_series(b).sum()
         want = special.gammaincc(float(d), tl * (i0 + inv_snr))
-        assert abs(val - want) < 3e-4, (tl, i0, d, inv_snr)
+        assert abs(val - want) < 1e-12, (tl, i0, d, inv_snr)
 
 
-def test_local_frequency_of_underflowed_envelope_is_zero():
-    probes = []
+def test_power_mixture_matches_repeated_convolution():
+    rng = np.random.default_rng(8)
+    c = rng.uniform(0.0, 1.0, 7)
+    weights = [0.5, 0.3, 0.2]
+    got = analysis._power_mixture(c, weights, 3)
+    want = np.zeros(7)
+    power = np.convolve(np.convolve(c, c), c)
+    for w in weights:
+        want += w * power[:7]
+        power = np.convolve(power, c)
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
-    def env(s):
-        probes.append(len(s))
-        return np.zeros(len(s), dtype=complex)
 
-    assert analysis._local_frequency(env, 2.0, 5.0) == 0.0
-    assert probes == [3]
+def test_single_cell_term_vs_conditional_monte_carlo():
+    # one radius node of the thresholded bound's single-cell branch: N = 6
+    # interferers uniform on the annulus [r0, r_M], a PPP of density
+    # lambda_b outside r_m, Exp(1) fading and Gamma(n_t) desired power
+    cfg = SimConfig(lambda_b=LAM, lambda_c=LAM / 3.0, alpha=4.0, snr_db=100.0,
+                    antenna_mode=FixedNt(6))
+    r0, r_m, r_big, n = 81.78, 89.51, 259.37, 6
+    s = (1.0 + r0) ** cfg.alpha           # t = 0 dB
+    outer = analysis._exp_series(analysis._outer_log_series(s, r_m, cfg, n))
+    intra = analysis._power_mixture(
+        analysis._annulus_series(s, r0, r_big, cfg.alpha, n), [1.0], n)
+    got = analysis._ccdf_of_product(outer, intra)
+
+    rng = np.random.default_rng(9)
+    m, r_far = 20_000, 2000.0
+    far = analysis.mean_tail_interference(r_far, LAM, cfg.alpha)
+    i_out = np.empty(m)
+    for i in range(m):
+        k = rng.poisson(LAM * math.pi * (r_far ** 2 - r_m ** 2))
+        r = np.sqrt(rng.uniform(r_m ** 2, r_far ** 2, k))
+        i_out[i] = (rng.exponential(1.0, k) * (1.0 + r) ** -cfg.alpha).sum()
+    r = np.sqrt(rng.uniform(r0 ** 2, r_big ** 2, (m, n)))
+    i_in = (rng.exponential(1.0, (m, n)) * (1.0 + r) ** -cfg.alpha).sum(axis=1)
+    h = rng.gamma(6.0, 1.0, m)
+    hits = h > s * (i_out + far + i_in + cfg.inv_snr)
+    mc = hits.mean()
+    se = math.sqrt(mc * (1.0 - mc) / m)
+    assert abs(got - mc) < 4.0 * se, (got, mc, se)
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +202,12 @@ def test_coverage_lb_monotone_in_dnt():
 
 
 def test_rate_transform_calibration():
-    # stubbed coverage == 1 up to V integrates to log2(1 + V)
-    v_cap = 30.0
-    got = analysis._rate_from_coverage(lambda v: 1.0 if v <= v_cap else 0.0,
-                                       panel=0.25, nodes=8, cutoff=-1.0,
-                                       t_max=math.log1p(v_cap))
-    assert abs(got - math.log2(1.0 + v_cap)) < 0.02
+    # a fixed Y = y: E log2(1 + H/y) with H ~ Exp(1) is e^y E1(y) / ln 2
+    for y in (1e-3, 0.1, 1.0, 10.0, 300.0):
+        got = analysis._LOG2E * analysis._log_z_integral(
+            lambda z: analysis._gamma_gain(z, 1) * np.exp(-z * y))
+        want = special.exp1(y) * math.exp(y) / math.log(2.0)
+        assert abs(got - want) < 1e-12 * want, (y, got, want)
 
 
 def test_rate_lb_monotone_in_ratio():
@@ -175,6 +215,25 @@ def test_rate_lb_monotone_in_ratio():
     r4 = analysis.rate_lb_ic(cfg_default(ratio=4.0, d_nt=4), n_r0=10, n_rm=8)
     r6 = analysis.rate_lb_ic(cfg_default(ratio=6.0, d_nt=4), n_r0=10, n_rm=8)
     assert r1 < r4 <= r6 + 0.02
+
+
+def test_rate_bounds_equal_integrated_coverage():
+    # Hamdi's lemma and the threshold integral of the coverage bound,
+    # Int_0^inf P_c(e^x - 1) dx / ln 2, are two routes to one value
+    cfg_fix = SimConfig(lambda_b=LAM, lambda_c=LAM / 3.0, alpha=4.0,
+                        snr_db=100.0, antenna_mode=FixedNt(6))
+    cases = [
+        (analysis.rate_lb_ic(cfg_default(ratio=4.0, d_nt=4), n_r0=4, n_rm=3),
+         lambda t: analysis.coverage_lb_ic(cfg_default(ratio=4.0, d_nt=4), t,
+                                           n_r0=4, n_rm=3)),
+        (analysis.rate_lb_thresholded(cfg_fix, n_r0=4, n_rm=3, n_rM=3),
+         lambda t: analysis.coverage_lb_thresholded(cfg_fix, t, n_r0=4,
+                                                    n_rm=3, n_rM=3)),
+    ]
+    for rate, coverage in cases:
+        want, _ = integrate.quad(lambda x: coverage(math.expm1(x)), 0.0, 40.0,
+                                 limit=200, epsabs=1e-10)
+        assert abs(rate - want / math.log(2.0)) < 1e-8, (rate, want)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +407,17 @@ def test_thresholded_coverage_curve_reports_finite_error():
     err = curve.quadrature_error[0]
     assert math.isfinite(err)
     assert 0.0 < err < 2e-4
+
+
+@pytest.mark.parametrize("n_t,ratio", [(6, 3.0), (6, 6.0), (12, 3.0), (12, 6.0)])
+def test_thresholded_coverage_below_monte_carlo(n_t, ratio):
+    # the bound at 0 dB stays inside the Monte Carlo envelope of the same
+    # thresholding policy
+    cfg = SimConfig(lambda_b=LAM, lambda_c=LAM / ratio, alpha=4.0, snr_db=100.0,
+                    antenna_mode=FixedNt(n_t), trials=2000, seed=41)
+    est = montecarlo.estimate_coverage(cfg, [1.0], "icin")[0]
+    lb = analysis.coverage_lb_thresholded(cfg, 1.0)
+    assert lb <= est.mean + 2.0 * est.ci95_halfwidth, (lb, est)
 
 
 def test_circumscribed_ccdf_bound_shape():

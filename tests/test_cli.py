@@ -73,6 +73,12 @@ def test_bad_config_exit_code():
     r = run_cli(["coverage", "--mode", "analytic", "--nt", "1", "--t-db", "0"])
     assert r.returncode == cli.EXIT_CONFIG
     assert r.stderr.startswith("error: bad configuration")
+    # rate-loss needs antennas following N and policy series
+    for extra in (["--nt", "12"], ["--policy", "foo"]):
+        r = run_cli(["rate-loss", "--mode", "analytic", *extra])
+        assert r.returncode == cli.EXIT_CONFIG
+        assert r.stderr.startswith("error: bad configuration")
+        assert len(r.stderr.splitlines()) == 1
 
 
 def test_package_error_exit_code(tmp_path):

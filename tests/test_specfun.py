@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate
 
 from clusternull import specfun
 from clusternull.errors import DomainError
@@ -63,50 +63,6 @@ def test_hyp2f1_domain_errors():
         specfun.hyp2f1(1.0, 1.5, 1.2, -1.0)   # needs c > b
     with pytest.raises(DomainError):
         specfun.hyp2f1(1.0, 0.5, 1.5, 0.5)    # needs z <= 0
-
-
-def test_hyp2f1_a1_matches_scalar_on_real_axis():
-    for b in (0.5, 0.75, 0.9):
-        for z in (-0.2, -1.0, -7.0, -300.0):
-            got = specfun.hyp2f1_a1(b, np.array([z + 0j]))[0]
-            want = specfun.hyp2f1(1.0, b, b + 1.0, z).value
-            assert abs(got.real - want) < 1e-11
-            assert abs(got.imag) < 1e-12
-
-
-def test_hyp2f1_a1_complex_vs_euler_quadrature():
-    rng = np.random.default_rng(3)
-    for _ in range(40):
-        b = rng.uniform(0.3, 0.95)
-        z = complex(-(10.0 ** rng.uniform(-2, 3)), rng.choice([-1, 1]) * 10.0 ** rng.uniform(-2, 3))
-        got = specfun.hyp2f1_a1(b, np.array([z]))[0]
-        re, _ = integrate.quad(lambda t: ((1 - t * z) ** -1.0).real, 0, 1,
-                               weight="alg", wvar=(b - 1.0, 0.0), limit=300)
-        im, _ = integrate.quad(lambda t: ((1 - t * z) ** -1.0).imag, 0, 1,
-                               weight="alg", wvar=(b - 1.0, 0.0), limit=300)
-        want = b * complex(re, im)  # Gamma(c)/(Gamma(b)Gamma(1)) = b for c = b+1
-        assert abs(got - want) < 1e-8 * max(abs(want), 1e-12)
-
-
-@pytest.mark.parametrize("b", [0.3, 0.5, 0.75, 0.95])
-def test_hyp2f1_a1_vs_scipy(b):
-    # purely imaginary z is the Fourier engine's argument; the ring points
-    # sit on both sides of the window edges |z| = 0.6 and 1.5
-    y = np.logspace(-4.0, 6.0, 401)
-    imag_axis = np.concatenate([1j * y, -1j * y])
-    radii = np.outer([0.6, 1.5], [1.0 - 1e-9, 1.0 + 1e-9]).ravel()
-    phases = np.exp(1j * np.linspace(0.5 * np.pi, 1.5 * np.pi, 13))
-    rings = (radii[:, None] * phases[None, :]).ravel()
-    for z in (imag_axis, rings, rings[:1]):
-        got = specfun.hyp2f1_a1(b, z)
-        want = special.hyp2f1(1.0, b, b + 1.0, z)
-        assert got.shape == z.shape
-        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
-
-
-def test_hyp2f1_a1_empty_input():
-    got = specfun.hyp2f1_a1(0.5, np.array([], dtype=complex))
-    assert got.shape == (0,)
 
 
 def test_digamma_euler_mascheroni():
