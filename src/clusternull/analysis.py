@@ -1,6 +1,6 @@
 """Closed-form quantities: interferer-count PMF, interference Laplace
-transforms, coverage/rate lower bounds, Gamma moment matching, and the
-mean rate-loss bounds for equal and adaptive feedback allocation.
+transforms, coverage/rate lower bounds, and the mean rate-loss bounds for
+equal and adaptive feedback allocation.
 
 Every coverage and rate bound runs on one real-axis engine.  Desired
 power after nulling is Gamma(n), so at s = t L
@@ -13,7 +13,9 @@ K. B. Letaief, IEEE Trans. Wireless Commun. 2014).  Its inputs are real
 Gauss hypergeometric values: the exclusion kernel A(x, s) and the
 moments J_m(x, s).  Rate bounds use Hamdi's lemma (IEEE Trans. Commun.
 2010), E ln(1 + H/Y) = Int_0^inf (1 - E e^{-zH}) E e^{-zY} dz / z, on a
-uniform grid in ln z.
+uniform grid in ln z.  The rate-loss bounds read E log2(I_out + c) from
+the same transform by the log-moment identity
+E ln Y = Int_0^inf (e^{-z} - E e^{-zY}) dz / z, on the same grid.
 
 The engine runs inside quadrature over the deployment radii.  The radius
 densities are integrated by mapping each through its own CDF, so the
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from . import feedback, geometry, specfun
 from .errors import DomainError
@@ -41,20 +43,6 @@ class CurveKind(enum.Enum):
     COVERAGE_LB = "coverage_lb"
     RATE_LB = "rate_lb"
     RATE_LOSS_UB = "rate_loss_ub"
-
-
-@dataclass
-class GammaFit:
-    k: float
-    theta: float
-
-    @property
-    def mean(self):
-        return self.k * self.theta
-
-    @property
-    def var(self):
-        return self.k * self.theta * self.theta
 
 
 @dataclass
@@ -160,13 +148,6 @@ def mean_tail_interference(r_excl, lambda_b, alpha):
         u0 ** (2.0 - alpha) / (alpha - 2.0) - u0 ** (1.0 - alpha) / (alpha - 1.0))
 
 
-def _var_kernel(r_excl, lambda_b, alpha):
-    u0 = 1.0 + r_excl
-    return 2.0 * math.pi * lambda_b * (
-        u0 ** (2.0 - 2.0 * alpha) / (2.0 * alpha - 2.0)
-        - u0 ** (1.0 - 2.0 * alpha) / (2.0 * alpha - 1.0))
-
-
 # ---------------------------------------------------------------------------
 # Radius quadrature grids (CDF-mapped Gauss-Legendre)
 # ---------------------------------------------------------------------------
@@ -196,30 +177,37 @@ def _circum_ccdf_q(q):
 
 
 def _circum_inverse_q(y, q_lo=0.0):
-    """Solve _circum_ccdf_q(q) = y for q >= q_lo (the function decreases 1->0)."""
-    lo, hi = q_lo, max(q_lo, 1.0) + 1.0
-    while _circum_ccdf_q(hi) > y:
-        hi *= 2.0
-        if hi > 1e6:
-            break
-    return optimize.brentq(lambda q: _circum_ccdf_q(q) - y, lo, hi, xtol=1e-12)
+    """Solve _circum_ccdf_q(q) = y for q >= q_lo elementwise (the function
+    decreases 1 -> 0): a doubling bracket, capped once past 1e6, then
+    bisection until no bracket can shrink."""
+    y, lo = np.broadcast_arrays(np.asarray(y, dtype=float),
+                                np.asarray(q_lo, dtype=float))
+    hi = np.maximum(lo, 1.0) + 1.0
+    grow = _circum_ccdf_q(hi) > y
+    while np.any(grow):
+        hi = np.where(grow, 2.0 * hi, hi)
+        grow &= (_circum_ccdf_q(hi) > y) & (hi <= 1e6)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not np.any((lo < mid) & (mid < hi)):
+            return mid
+        right = _circum_ccdf_q(mid) > y
+        lo = np.where(right, mid, lo)
+        hi = np.where(right, hi, mid)
 
 
 def _rM_nodes_conditional(r0, lambda_c, n):
-    """Circumscribed-radius nodes from the CCDF bound, conditioned > r0.
+    """Circumscribed-radius nodes from the CCDF bound, conditioned > r0;
+    r0 of shape (n_r0, 1) gives nodes (n_r0, n).
 
     The published bound is stated for a unit-intensity process; intensity is
     restored by the scaling r -> r sqrt(lambda_c) (q = pi lambda_c r^2) and
     the law renormalized on [r0, inf).
     """
-    w_nodes, w = _gl01(n)
+    t, w = _gl01(n)
     q0 = math.pi * lambda_c * r0 * r0
-    g0 = _circum_ccdf_q(q0)
-    rM = np.empty(n)
-    for i, t in enumerate(w_nodes):
-        q = _circum_inverse_q(t * g0, q_lo=q0)
-        rM[i] = math.sqrt(q / (math.pi * lambda_c))
-    return rM, w
+    q = _circum_inverse_q(t * _circum_ccdf_q(q0), q_lo=q0)
+    return np.sqrt(q / (math.pi * lambda_c)), w
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +225,11 @@ def _rM_nodes_conditional(r0, lambda_c, n):
 # raised to the point count.  Every coefficient past the constant term is
 # non-negative, so nothing cancels.
 
-# Relative error allowed for one kernel value A or J_m.  scipy's real 2F1
-# agrees with 40-digit quadrature within 4e-13 while s (1+x)^-alpha <= 1e4.
+# Relative error allowed for one kernel value A or J_m at g = s (1+x)^-alpha.
+# Against high-precision quadrature, scipy's real 2F1 gives J_m within
+# 1.3e-13 at g = 1e4, 3.4e-11 at 1e6, 5.5e-8 at 1e10 and 5.3e-4 at 1e14
+# (m 1, 5, 20; alpha 3 and 4): 1e-12 max(1, g / 1e4) covers each point at
+# least 3 times over.
 _KERNEL_REL_ERR = 1e-12
 _EPS = float(np.finfo(float).eps)
 
@@ -319,11 +310,15 @@ def _ccdf_of_product(outer, inner):
     return (outer * np.cumsum(inner, axis=-1)[..., ::-1]).sum(axis=-1)
 
 
-def _roundoff(terms, b0, n):
+def _kernel_rel_err(g):
+    return _KERNEL_REL_ERR * np.maximum(1.0, np.asarray(g) / 1e4)
+
+
+def _roundoff(terms, b0, n, g):
     """Round-off bound of non-negative series terms, each e^{b0} times a
-    polynomial of degree < n in kernel values formed in about 2n + 1
+    polynomial of degree < n in kernel values at g formed in about 2n + 1
     floating-point operations."""
-    return terms * ((np.abs(b0) + n) * _KERNEL_REL_ERR + (2 * n + 1) * _EPS)
+    return terms * ((np.abs(b0) + n) * _kernel_rel_err(g) + (2 * n + 1) * _EPS)
 
 
 def _gamma_gain(z, n):
@@ -334,9 +329,9 @@ def _gamma_gain(z, n):
 def _log_z_integral(f):
     """Int_0^inf f(z) dz / z by the trapezoid rule in ln z.
 
-    f(z) must be O(z) at 0 and, past z = 1, bounded by a transform that
-    decreases to 0.  Chunks are added until f has fallen below 1e-18 at
-    some z >= 1.
+    f(z) must be O(z) at 0 and, past z = 1, bounded in modulus by a
+    transform that decreases to 0.  Chunks are added until |f| has fallen
+    below 1e-18 at some z >= 1.
     """
     total = 0.0
     x0 = _LOG_Z_START
@@ -344,7 +339,7 @@ def _log_z_integral(f):
         x = x0 + _LOG_Z_STEP * np.arange(_LOG_Z_CHUNK)
         v = f(np.exp(x))
         total += float(v.sum())
-        if x[-1] >= 0.0 and v[-1] < 1e-18:
+        if x[-1] >= 0.0 and abs(v[-1]) < 1e-18:
             break
         x0 = x[-1] + _LOG_Z_STEP
     return total * _LOG_Z_STEP
@@ -380,7 +375,9 @@ def _coverage_lb_ic_err(cfg, t, n_r0=20, n_rm=14):
     p = _exp_series(b)
     wgt = np.outer(w0, wv)
     total = float(np.sum(wgt * p.sum(axis=-1)))
-    err = float(np.sum(wgt * _roundoff(p, b[..., :1], d).sum(axis=-1))) + _EPS
+    g = s * (1.0 + rms) ** -cfg.alpha
+    err = float(np.sum(wgt * _roundoff(p, b[..., :1], d, g[..., None])
+                       .sum(axis=-1))) + _EPS
     return min(max(total, 0.0), 1.0), err
 
 
@@ -415,55 +412,48 @@ def rate_lb_ic(cfg, n_r0=16, n_rm=10):
 
 
 # ---------------------------------------------------------------------------
-# Inter-cluster interference moments and the Gamma fit
+# Inter-cluster interference: mean and log-moment
 # ---------------------------------------------------------------------------
+#
+# Both average over the inscribed-disk exclusion max(r_m - r0, 0) on the same
+# (r0, r_m | r_m > r0) nodes.
 
-def iout_moments(lambda_b, lambda_c, alpha, n_r0=32, n_rm=32):
-    """(mean, var) of the inter-cluster interference with the inscribed-disk
-    exclusion max(r_m - r0, 0), averaged over (r0, r_m | r_m > r0)."""
-    if alpha <= 2.0:
-        raise DomainError("alpha must exceed 2")
-    r0s, w0 = _r0_nodes(lambda_b, n_r0)
-    mean = 0.0
-    var = 0.0
-    for r0, wu in zip(r0s, w0):
-        rms, wv = _rm_nodes_conditional(r0, lambda_c, n_rm)
-        d = np.maximum(rms - r0, 0.0)
-        mean += wu * float(np.dot(wv, mean_tail_interference(d, lambda_b, alpha)))
-        var += wu * float(np.dot(wv, _var_kernel(d, lambda_b, alpha)))
-    return mean, var
-
-
-def gamma_fit(mean, var):
-    if mean <= 0.0 or var <= 0.0:
-        raise DomainError("moment matching needs positive mean and variance")
-    return GammaFit(k=mean * mean / var, theta=var / mean)
+_IOUT_NODES = 32
 
 
 @lru_cache(maxsize=32)
-def _cached_iout_fit(lambda_b, lambda_c, alpha):
-    mean, var = iout_moments(lambda_b, lambda_c, alpha)
-    return mean, gamma_fit(mean, var)
-
-
 def expected_iout(lambda_b, lambda_c, alpha):
-    return _cached_iout_fit(lambda_b, lambda_c, alpha)[0]
+    """Campbell mean of the inter-cluster interference."""
+    if alpha <= 2.0:
+        raise DomainError("alpha must exceed 2")
+    r0s, w0 = _r0_nodes(lambda_b, _IOUT_NODES)
+    mean = 0.0
+    for r0, wu in zip(r0s, w0):
+        rms, wv = _rm_nodes_conditional(r0, lambda_c, _IOUT_NODES)
+        d = np.maximum(rms - r0, 0.0)
+        mean += wu * float(np.dot(wv, mean_tail_interference(d, lambda_b, alpha)))
+    return mean
 
 
-def iout_gamma_fit(lambda_b, lambda_c, alpha):
-    return _cached_iout_fit(lambda_b, lambda_c, alpha)[1]
+@lru_cache(maxsize=32)
+def expected_log2_iout_plus(lambda_b, lambda_c, alpha, c):
+    """E{log2(I_out + c)} for c >= 0 from the interference transform
+    M(z) = E exp(-z I_out) by the log-moment identity
 
+        E ln(I_out + c) = Int_0^inf (e^{-z} - e^{-zc} M(z)) dz / z.
+    """
+    if alpha <= 2.0:
+        raise DomainError("alpha must exceed 2")
+    r0s, w0 = _r0_nodes(lambda_b, _IOUT_NODES)
+    rms, wv = _rm_nodes_conditional(r0s[:, None], lambda_c, _IOUT_NODES)
+    excl = np.maximum(rms - r0s[:, None], 0.0)
+    scale = 2.0 * math.pi * lambda_b
 
-def expected_log2_iout(fit):
-    """High-INR form E{log2 I_out} = psi(k)/ln 2 + log2 theta."""
-    return specfun.digamma(fit.k) / math.log(2.0) + math.log2(fit.theta)
+    def integrand(z):
+        m = np.exp(-scale * _excl_kernel(excl, z[:, None, None], alpha))
+        return np.exp(-z) - np.exp(-z * c) * ((m @ wv) @ w0)
 
-
-def expected_log2_gamma_plus(fit, c, nodes=96):
-    """E{log2(X + c)} for X ~ Gamma(k, theta) by CDF-mapped quadrature."""
-    u, w = _gl01(nodes)
-    x = fit.theta * special.gammaincinv(fit.k, u)
-    return float(np.dot(w, np.log2(x + c)))
+    return _LOG2E * _log_z_integral(integrand)
 
 
 # ---------------------------------------------------------------------------
@@ -485,18 +475,19 @@ def expected_nearest_pathloss(lambda_b, alpha, n_r0=32, n_r=32):
 def rate_loss_ub_equal(cfg, bias=True):
     """Mean rate-loss upper bound with (near-)equal bit allocation.
 
-    Term by term: RVQ loss of the desired channel, the digamma/Gamma-fit
-    log-interference term, and the residual-plus-floor log term with the
+    Term by term: RVQ loss of the desired channel, the log-interference
+    term -E{log2 I_out}, and the residual-plus-floor log term with the
     nearest-interferer path-loss factor.
 
     Both RVQ terms decay as 2^(-b/((N+1)(N+d-1))) averaged over the
     interferer-count pmf, so the bound falls with b_tot to its floor
-    -E{log2 I_out} + log2(1/SNR + E{I_out}) (Gamma fit) as b_tot -> inf.
+    -E{log2 I_out} + log2(1/SNR + E{I_out}) as b_tot -> inf.
     """
     d = _require_follow(cfg)
     b_tot = cfg.b_tot
     weights = pmf_weights(cfg.ratio)
-    fit = iout_gamma_fit(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
+    e_iout = expected_iout(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
+    e_log = expected_log2_iout_plus(cfg.lambda_b, cfg.lambda_c, cfg.alpha, 0.0)
     e_near = expected_nearest_pathloss(cfg.lambda_b, cfg.alpha)
 
     term_des = 0.0
@@ -509,19 +500,18 @@ def rate_loss_ub_equal(cfg, bias=True):
             g1 = math.exp(specfun.ln_gamma(n_t / (n_t - 1.0)))
             term_des += p * g1 * 2.0 ** (-b0 / (n_t - 1.0))
             term_res += p * n * feedback.rvq_mean_interference_stirling(n_t, share)
-    return (_LOG2E * term_des
-            - expected_log2_iout(fit)
-            + math.log2(cfg.inv_snr + fit.mean + term_res * e_near))
+    return (_LOG2E * term_des - e_log
+            + math.log2(cfg.inv_snr + e_iout + term_res * e_near))
 
 
-def rate_loss_adaptive_realization(n, r_intra, cfg, fit=None, e_iout=None,
-                                   b_tot=None, e_log=None):
+def rate_loss_adaptive_realization(n, r_intra, cfg, e_iout=None, b_tot=None,
+                                   e_log=None):
     """Per-realization rate-loss bound at the adaptive integer allocation
     of b_tot bits (default cfg.b_tot).
 
     Returns (loss, allocation).  The low-/high-SNR form is selected by the
-    allocation's regime flag.  `e_log` is E{log2(I_out + 1/SNR)} under the
-    Gamma fit; callers looping over realizations pass it precomputed.
+    allocation's regime flag.  `e_log` is E{log2(I_out + 1/SNR)}; callers
+    looping over realizations pass it and `e_iout` precomputed.
     """
     d = _require_follow(cfg)
     n_t = n + d
@@ -529,9 +519,8 @@ def rate_loss_adaptive_realization(n, r_intra, cfg, fit=None, e_iout=None,
     if e_iout is None:
         e_iout = expected_iout(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
     if e_log is None:
-        if fit is None:
-            fit = iout_gamma_fit(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
-        e_log = expected_log2_gamma_plus(fit, cfg.inv_snr)
+        e_log = expected_log2_iout_plus(cfg.lambda_b, cfg.lambda_c, cfg.alpha,
+                                        cfg.inv_snr)
     alloc = feedback.adaptive_allocation(
         r_intra, b_tot, n_t, cfg.alpha, e_iout, cfg.inv_snr)
     floor = e_iout + cfg.inv_snr
@@ -568,8 +557,8 @@ def rate_loss_ub_adaptive(cfg, geometry_trials=2000, seed=None, b_tots=None):
     _require_follow(cfg)
     budgets = [cfg.b_tot] if b_tots is None else [int(b) for b in b_tots]
     e_iout = expected_iout(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
-    fit = iout_gamma_fit(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
-    e_log = expected_log2_gamma_plus(fit, cfg.inv_snr)
+    e_log = expected_log2_iout_plus(cfg.lambda_b, cfg.lambda_c, cfg.alpha,
+                                    cfg.inv_snr)
     seed = cfg.seed if seed is None else seed
     totals = [0.0] * len(budgets)
     for i in range(geometry_trials):
@@ -609,12 +598,6 @@ def _threshold_weights(cfg, n_t):
             w_nic if w_nic.sum() > 1e-10 else None)
 
 
-def _rM_grid(r0s, lambda_c, n):
-    """Circumscribed-radius nodes (n_r0, n) for every r0 node, and weights."""
-    rows = [_rM_nodes_conditional(r0, lambda_c, n)[0] for r0 in r0s]
-    return np.array(rows), _gl01(n)[1]
-
-
 def _coverage_lb_thresholded_err(cfg, t, n_r0=16, n_rm=10, n_rM=10):
     n_t = _require_fixed(cfg)
     if t <= 0.0:
@@ -625,7 +608,9 @@ def _coverage_lb_thresholded_err(cfg, t, n_r0=16, n_rm=10, n_rM=10):
     b = _outer_log_series(s[:, None], rms, cfg, n_t)
     p = _exp_series(b)
     outer = np.einsum("ijk,j->ik", p, wv)
-    outer_err = np.einsum("ijk,j->ik", _roundoff(p, b[..., :1], n_t), wv)
+    g = s[:, None] * (1.0 + rms) ** -cfg.alpha
+    outer_err = np.einsum("ijk,j->ik",
+                          _roundoff(p, b[..., :1], n_t, g[..., None]), wv)
     total = 0.0
     err = _EPS
 
@@ -638,13 +623,13 @@ def _coverage_lb_thresholded_err(cfg, t, n_r0=16, n_rm=10, n_rM=10):
     # single-cell branch: N >= n_t, desired power Gamma(n_t, 1), plus the
     # N intra-cluster interferers uniform on the annulus [r0, r_M]
     if w_nic is not None:
-        rMs, ww = _rM_grid(r0s, cfg.lambda_c, n_rM)
+        rMs, ww = _rM_nodes_conditional(r0s[:, None], cfg.lambda_c, n_rM)
         c = _annulus_series(s[:, None], r0s[:, None], rMs, cfg.alpha, n_t)
         intra = np.einsum("ijk,j->ik", _power_mixture(c, w_nic, n_t), ww)
         single = _ccdf_of_product(outer, intra)
         total += float(w0 @ single)
         err += float(w0 @ (_ccdf_of_product(outer_err, intra)
-                           + single * (n_t + len(w_nic)) * _KERNEL_REL_ERR))
+                           + single * (n_t + len(w_nic)) * _kernel_rel_err(t)))
 
     return min(max(total, 0.0), 1.0), err
 
@@ -664,7 +649,7 @@ def rate_lb_thresholded(cfg, n_r0=12, n_rm=8, n_rM=8):
     r0s, w0, rms, wv = _nulling_nodes(cfg, n_r0, n_rm)
     big_l = (1.0 + r0s) ** cfg.alpha
     if w_nic is not None:
-        rMs, ww = _rM_grid(r0s, cfg.lambda_c, n_rM)
+        rMs, ww = _rM_nodes_conditional(r0s[:, None], cfg.lambda_c, n_rM)
 
     def integrand(z):
         s = z[:, None] * big_l

@@ -8,9 +8,10 @@ output CSV uses the same syntax (prefixed '# '), so a previous result file
 can be replayed directly via --config.
 
 Exit codes: 0 success, 2 bad configuration (also a value a bound finds
-outside its domain, such as --nt 1), 4 a file could not be read or
-written, 5 any other package error while evaluating (for example no
-acceptable deployment realization within the sampler's attempt budget).
+outside its domain, such as --nt 1, or a bit budget that is not an
+integer >= 1), 4 a file could not be read or written, 5 any other
+package error while evaluating (for example no acceptable deployment
+realization within the sampler's attempt budget).
 Each failure prints one `error:` line on stderr.
 """
 
@@ -161,6 +162,9 @@ def _build_spec(args, file_cfg):
             raise ValueError("rate-loss needs antennas following N (use dnt)")
         grid_text = getattr(args, "btot_grid", None) or file_cfg.get("btot_grid", "10:10:50")
         grid = parse_range(grid_text)
+        for b in grid:
+            if not b.is_integer() or b < 1:
+                raise ValueError(f"bit budgets must be integers >= 1, got {b!r}")
         series = tuple(str(pick("policy", str)).split(","))
         for s in series:
             if s not in montecarlo.POLICIES:

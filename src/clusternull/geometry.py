@@ -86,18 +86,15 @@ class NetworkRealization:
 class TypicalCluster:
     serving_bs_index: int
     r0: float                 # user -> serving BS
-    r1: float                 # serving BS -> its cluster station
-    intra_index: np.ndarray   # other BSs sharing the serving cluster station
-    intra_dist: np.ndarray    # their distances to the user, ascending
+    intra_dist: np.ndarray    # user -> other BSs of the serving cluster, ascending
     r_m: float                # inscribed radius of the cluster cell
     r_M: float                # circumscribed radius of the cluster cell
-    out_index: np.ndarray     # every other BS in the window
-    out_dist: np.ndarray
+    out_dist: np.ndarray      # user -> every other BS in the window
     cell_reach: float         # farthest cluster-cell vertex from the user
 
     @property
     def n_interferers(self):
-        return len(self.intra_index)
+        return len(self.intra_dist)
 
 
 def _uniform_disk(rng, count, radius):
@@ -189,21 +186,13 @@ def build_typical_cluster(net):
     r0 = float(bs_dist[serving])
     c0_idx = int(net.bs_to_cluster[serving])
     c0 = net.cluster_points[c0_idx]
-    r1 = float(np.hypot(*(net.bs_points[serving] - c0)))
 
     same = net.bs_to_cluster == c0_idx
     same[serving] = False
-    intra_index = np.flatnonzero(same)
-    intra_dist = bs_dist[intra_index]
-    order = np.argsort(intra_dist)
-    intra_index = intra_index[order]
-    intra_dist = intra_dist[order]
-
-    others = np.ones(n_b, dtype=bool)
+    intra_dist = np.sort(bs_dist[same])
+    others = ~same
     others[serving] = False
-    others[intra_index] = False
-    out_index = np.flatnonzero(others)
-    out_dist = bs_dist[out_index]
+    out_dist = bs_dist[others]
 
     neighbors = np.delete(net.cluster_points, c0_idx, axis=0)
     nbr_dist = np.hypot(*(neighbors - c0).T)
@@ -218,12 +207,9 @@ def build_typical_cluster(net):
     return TypicalCluster(
         serving_bs_index=serving,
         r0=r0,
-        r1=r1,
-        intra_index=intra_index,
         intra_dist=intra_dist,
         r_m=r_m,
         r_M=r_M,
-        out_index=out_index,
         out_dist=out_dist,
         cell_reach=cell_reach,
     )

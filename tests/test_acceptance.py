@@ -5,8 +5,8 @@ Density regimes: the bounded path-loss law (1+r)^alpha is not scale free,
 so the absolute station density is a modeling choice.  Coverage-ordering
 and thresholding-gain criteria run at the sharp default density
 (lambda_b = 1e-4, spacing >> 1) where the plateau only regularizes the
-origin; the limited-feedback bound criteria run at unit density where the
-moment-matching machinery that backs them is well conditioned.
+origin; the limited-feedback bound criteria run at unit density, where
+cell sizes are comparable to the near-field plateau.
 """
 
 import math
@@ -190,8 +190,8 @@ def test_acceptance_06_rvq_mean_identity():
 
 @pytest.fixture(scope="module")
 def rate_loss_sweep():
-    # unit-density regime: the Gamma moment matching behind the bound is
-    # well conditioned there (see module docstring)
+    # unit-density regime, where the rate-loss bound is tightest (see
+    # module docstring)
     base = SimConfig(lambda_b=1.0, lambda_c=1.0 / 3.0, alpha=4.0, snr_db=20.0,
                      antenna_mode=FollowN(5), trials=3000, seed=88)
     budgets = (10, 20, 30, 40, 50)

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import integrate, special, stats
+from scipy import integrate, optimize, special, stats
 
 from clusternull import analysis, feedback, montecarlo, specfun
 from clusternull.errors import DomainError
@@ -19,8 +19,8 @@ def cfg_default(ratio=3.0, d_nt=7, **kw):
 
 
 def cfg_plateau(ratio=3.0, d_nt=5, **kw):
-    """Unit-density regime where the near-field plateau keeps the
-    moment-matching machinery well conditioned (the rate-loss bounds)."""
+    """Unit-density regime where cell sizes are comparable to the
+    near-field plateau (the rate-loss bounds)."""
     kw.setdefault("snr_db", 20.0)
     return SimConfig(lambda_b=1.0, lambda_c=1.0 / ratio, alpha=4.0,
                      antenna_mode=FollowN(d_nt), **kw)
@@ -93,6 +93,27 @@ def test_exclusion_kernel_vs_quadrature():
                 return q ** m * (1 - q) * r
             want, _ = integrate.quad(integrand, x, np.inf, limit=300)
             assert abs(moments[m - 1] - want) < 1e-9 * max(want, 1e-12), (x, s, m)
+
+
+def test_kernel_allowance_covers_large_arguments():
+    # past g = s (1+x)^-alpha = 1e4 scipy's 2F1 loses digits; the per-kernel
+    # allowance behind analytic_err grows with g to cover the loss.  The
+    # reference integrates J_m in u = ln(1+r), where q is a logistic step.
+    for alpha in (3.0, 4.0):
+        for g in (1e6, 1e10, 1e14):
+            moments = analysis._excl_moments(0.0, g, alpha, 21)
+            u_step = math.log(g) / alpha
+            for m in (1, 5, 20):
+                def integrand(u, m=m):
+                    sg = g * math.exp(-alpha * u)
+                    return (sg / (1.0 + sg)) ** m / (1.0 + sg) \
+                        * math.expm1(u) * math.exp(u)
+                want, _ = integrate.quad(
+                    integrand, 0.0, u_step + 40.0 / (alpha - 2.0),
+                    points=[u_step - 10.0 / alpha, u_step, u_step + 10.0 / alpha],
+                    limit=500, epsabs=0.0, epsrel=1e-13)
+                err = abs(moments[m - 1] - want)
+                assert err < analysis._kernel_rel_err(g) * want, (alpha, g, m, err / want)
 
 
 def test_annulus_point_laplace_vs_quadrature():
@@ -237,29 +258,21 @@ def test_rate_bounds_equal_integrated_coverage():
 
 
 # ---------------------------------------------------------------------------
-# interference moments and the Gamma fit
+# inter-cluster interference: mean and log-moment
 # ---------------------------------------------------------------------------
-
-def test_gamma_fit_roundtrip():
-    fit = analysis.gamma_fit(2.0, 4.0)
-    assert fit.k == pytest.approx(1.0) and fit.theta == pytest.approx(2.0)
-    fit = analysis.gamma_fit(0.37, 0.011)
-    assert fit.mean == pytest.approx(0.37, rel=1e-12)
-    assert fit.var == pytest.approx(0.011, rel=1e-12)
-    with pytest.raises(DomainError):
-        analysis.gamma_fit(0.0, 1.0)
-
 
 def test_iout_moments_alpha_domain():
     with pytest.raises(DomainError):
-        analysis.iout_moments(1.0, 0.3, 2.0)
+        analysis.expected_iout(1.0, 0.3, 2.0)
+    with pytest.raises(DomainError):
+        analysis.expected_log2_iout_plus(1.0, 0.3, 2.0, 0.0)
 
 
 def test_iout_mean_vs_matched_exclusion_monte_carlo():
     # MC with the same inscribed-disk exclusion max(r_m - r0, 0), conditioned
     # on r_m > r0, reproduces the analytic mean within 5%
     lam_b, lam_c, alpha = 1.0, 1.0 / 3.0, 4.0
-    mean_an, _ = analysis.iout_moments(lam_b, lam_c, alpha)
+    mean_an = analysis.expected_iout(lam_b, lam_c, alpha)
     rng = np.random.default_rng(4)
     n_mc, r_far = 15_000, 40.0
     tail = analysis.mean_tail_interference(r_far, lam_b, alpha)
@@ -280,44 +293,44 @@ def test_iout_mean_vs_matched_exclusion_monte_carlo():
     assert abs(mean_an - mc) < 0.05 * mc
 
 
-def test_log_iout_digamma_identity():
-    # E{log2 X} = psi(k)/ln2 + log2 theta for X ~ Gamma(k, theta)
-    fit = analysis.iout_gamma_fit(1.0, 1.0 / 3.0, 4.0)
-    rng = np.random.default_rng(5)
-    x = rng.gamma(fit.k, fit.theta, 400_000)
-    got = analysis.expected_log2_iout(fit)
-    assert abs(got - np.log2(x).mean()) < 0.01
+def _log2_shot_noise(rng, excl, r_far=40.0):
+    """log2 of unit-density shot noise outside excl, Exp(1) fading; the
+    part beyond r_far enters as its mean."""
+    n = rng.poisson(math.pi * (r_far ** 2 - excl ** 2))
+    r = np.sqrt(rng.uniform(excl * excl, r_far * r_far, n))
+    tail = analysis.mean_tail_interference(r_far, 1.0, 4.0)
+    return math.log2((rng.exponential(1.0, n) * (1.0 + r) ** -4.0).sum() + tail)
 
 
 def test_log_iout_digamma_vs_shot_noise():
-    # moment-matched digamma form vs the log of actual sampled shot noise
-    # with the same exclusion geometry, within 0.1 bits at INR > 20 dB
-    fit = analysis.iout_gamma_fit(1.0, 1.0 / 3.0, 4.0)
+    # the log-moment of the transform vs the log of actual sampled shot
+    # noise with the same exclusion geometry, within 0.1 bits at INR > 20 dB
+    got = analysis.expected_log2_iout_plus(1.0, 1.0 / 3.0, 4.0, 0.0)
     rng = np.random.default_rng(6)
-    r_far = 40.0
-    tail = analysis.mean_tail_interference(r_far, 1.0, 4.0)
     vals = []
     while len(vals) < 15_000:
         r0 = math.sqrt(rng.exponential() / math.pi)
         rm = math.sqrt(rng.exponential() / (4.0 * math.pi / 3.0))
         if rm <= r0:
             continue
-        d = rm - r0
-        n = rng.poisson(math.pi * (r_far ** 2 - d ** 2))
-        r = np.sqrt(rng.uniform(d * d, r_far * r_far, n))
-        vals.append(math.log2(
-            (rng.exponential(1.0, n) * (1.0 + r) ** -4.0).sum() + tail))
-    assert abs(analysis.expected_log2_iout(fit) - np.mean(vals)) < 0.1
+        vals.append(_log2_shot_noise(rng, rm - r0))
+    assert abs(got - np.mean(vals)) < 0.1
 
 
-def test_expected_log2_gamma_plus_quadrature():
-    fit = analysis.GammaFit(k=2.3, theta=0.7)
-    rng = np.random.default_rng(6)
-    x = rng.gamma(fit.k, fit.theta, 400_000)
-    for c in (0.05, 1.0):
-        got = analysis.expected_log2_gamma_plus(fit, c)
-        mc = np.log2(x + c).mean()
-        assert abs(got - mc) < 0.01
+def test_log_iout_plus_matches_its_own_law():
+    # sample the law the bound integrates: r0 from its Rayleigh marginal and
+    # r_m conditioned on r_m > r0, i.e. r_m^2 = r0^2 + Exp / (4 pi lambda_c)
+    lam_c = 1.0 / 3.0
+    rng = np.random.default_rng(7)
+    m = 30_000
+    vals = np.empty(m)
+    for i in range(m):
+        r0 = math.sqrt(rng.exponential() / math.pi)
+        rm = math.sqrt(r0 * r0 + rng.exponential() / (4.0 * math.pi * lam_c))
+        vals[i] = _log2_shot_noise(rng, rm - r0)
+    got = analysis.expected_log2_iout_plus(1.0, lam_c, 4.0, 0.0)
+    se = vals.std() / math.sqrt(m)
+    assert abs(got - vals.mean()) < 4.0 * se, (got, vals.mean(), se)
 
 
 # ---------------------------------------------------------------------------
@@ -331,14 +344,15 @@ def test_rate_loss_equal_decreasing_in_btot():
         vals.append(analysis.rate_loss_ub_equal(cfg))
     assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
     assert vals[-1] < vals[0]
-    # large budgets approach the Jensen/Gamma-approximation floor, the bound
-    # with both RVQ terms gone.  Each term decays as 2^(-b/((N+1)(N+d-1))), so
-    # at b_lim the slowest one (N = N_max) is below double resolution, 2^-53.
+    # large budgets approach the Jensen floor, the bound with both RVQ terms
+    # gone.  Each term decays as 2^(-b/((N+1)(N+d-1))), so at b_lim the
+    # slowest one (N = N_max) is below double resolution, 2^-53.
     cfg = cfg_plateau()
     d = cfg.antenna_mode.d_nt
-    fit = analysis.iout_gamma_fit(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
-    floor = (-analysis.expected_log2_iout(fit)
-             + math.log2(cfg.inv_snr + fit.mean))
+    floor = (-analysis.expected_log2_iout_plus(cfg.lambda_b, cfg.lambda_c,
+                                               cfg.alpha, 0.0)
+             + math.log2(cfg.inv_snr + analysis.expected_iout(
+                 cfg.lambda_b, cfg.lambda_c, cfg.alpha)))
     assert all(v >= floor - 1e-9 for v in vals)
     n_max = len(analysis.pmf_weights(cfg.ratio)) - 1
     b_lim = 53 * (n_max + 1) * (n_max + d - 1)
@@ -355,20 +369,36 @@ def test_rate_loss_equal_increasing_in_ratio():
 
 def test_rate_loss_adaptive_realization_modes():
     cfg = cfg_plateau(b_tot=30)
-    fit = analysis.iout_gamma_fit(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
     e_iout = analysis.expected_iout(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
     r = np.array([0.4, 0.9, 1.8])
-    loss, alloc = analysis.rate_loss_adaptive_realization(3, r, cfg, fit, e_iout)
+    loss, alloc = analysis.rate_loss_adaptive_realization(3, r, cfg, e_iout)
     assert np.isfinite(loss)
     assert alloc.b0 + alloc.b_intra.sum() == 30
 
     # symmetric two-interferer instance at cell-scale distance: both in the
     # effective set with near-equal bits
     r2 = np.array([0.5, 0.5])
-    loss2, alloc2 = analysis.rate_loss_adaptive_realization(2, r2, cfg, fit, e_iout)
+    loss2, alloc2 = analysis.rate_loss_adaptive_realization(2, r2, cfg, e_iout)
     assert len(alloc2.effective_set) == 2
     assert abs(alloc2.b_intra[0] - alloc2.b_intra[1]) <= 1
     assert np.isfinite(loss2)
+
+
+def test_rate_loss_bounds_hold_in_sharp_regime():
+    # lambda_b = 1e-4 at 100 dB: both bounds stay above their Monte Carlo
+    # losses and within a few bits of them
+    cfg = cfg_default(ratio=3.0, d_nt=5, trials=1000, seed=5)
+    budgets = (20, 40)
+    arrays = montecarlo.collect_trials(
+        cfg, [(p, b) for b in budgets for p in ("equal-bias", "adaptive")])
+    adaptive = analysis.rate_loss_ub_adaptive(cfg, geometry_trials=400,
+                                              b_tots=budgets)
+    for b_tot, ad_ub in zip(budgets, adaptive):
+        cfg_b = replace(cfg, b_tot=b_tot)
+        eq_ub = analysis.rate_loss_ub_equal(cfg_b)
+        for policy, ub in (("equal-bias", eq_ub), ("adaptive", ad_ub)):
+            est = montecarlo.estimate_rate_loss(cfg_b, policy, arrays=arrays)
+            assert est.mean - est.ci95_halfwidth <= ub < 8.0, (b_tot, policy, ub, est)
 
 
 def test_adaptive_bound_below_equal_bound_on_average():
@@ -442,6 +472,21 @@ def test_circumscribed_ccdf_bound_shape():
     for y in (0.9, 0.5, 0.1, 1e-3):
         q = analysis._circum_inverse_q(y)
         assert analysis._circum_ccdf_q(q) == pytest.approx(y, rel=1e-9)
+
+
+def test_circumscribed_nodes_match_scalar_root():
+    # the vectorised bisection gives the nodes a scalar root finder gives
+    r0s, _ = analysis._r0_nodes(LAM, 16)
+    lam_c = LAM / 3.0
+    got, _ = analysis._rM_nodes_conditional(r0s[:, None], lam_c, 10)
+    t, _ = analysis._gl01(10)
+    for i, r0 in enumerate(r0s):
+        q0 = math.pi * lam_c * r0 * r0
+        for j, y in enumerate(t * analysis._circum_ccdf_q(q0)):
+            q = optimize.brentq(lambda q: analysis._circum_ccdf_q(q) - y,
+                                q0, q0 + 100.0, xtol=1e-14)
+            want = math.sqrt(q / (math.pi * lam_c))
+            assert abs(got[i, j] - want) < 1e-12 * want, (i, j)
 
 
 def test_rate_loss_ub_adaptive_grid_equals_scalar_calls():

@@ -73,8 +73,11 @@ def test_bad_config_exit_code():
     r = run_cli(["coverage", "--mode", "analytic", "--nt", "1", "--t-db", "0"])
     assert r.returncode == cli.EXIT_CONFIG
     assert r.stderr.startswith("error: bad configuration")
-    # rate-loss needs antennas following N and policy series
-    for extra in (["--nt", "12"], ["--policy", "foo"]):
+    # rate-loss needs antennas following N, policy series and bit budgets
+    # that are integers >= 1
+    for extra in (["--nt", "12"], ["--policy", "foo"],
+                  ["--btot-grid", "10.5,10"], ["--btot-grid=-10"],
+                  ["--btot-grid=0", "--policy", "adaptive", "--mode", "mc"]):
         r = run_cli(["rate-loss", "--mode", "analytic", *extra])
         assert r.returncode == cli.EXIT_CONFIG
         assert r.stderr.startswith("error: bad configuration")
