@@ -24,9 +24,7 @@ The reported error covers the inner per-node evaluation only (a round-off
 bound); the outer radius quadrature's error is not included.
 """
 
-import enum
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,20 +35,6 @@ from .errors import DomainError
 
 _LOG2E = math.log2(math.e)
 _W_MAX = float(np.nextafter(1.0, 0.0))
-
-
-class CurveKind(enum.Enum):
-    COVERAGE_LB = "coverage_lb"
-    RATE_LB = "rate_lb"
-    RATE_LOSS_UB = "rate_loss_ub"
-
-
-@dataclass
-class BoundCurve:
-    x: np.ndarray
-    y: np.ndarray
-    kind: CurveKind
-    quadrature_error: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +547,7 @@ def rate_loss_ub_adaptive(cfg, geometry_trials=2000, seed=None, b_tots=None):
     totals = [0.0] * len(budgets)
     for i in range(geometry_trials):
         rng = np.random.default_rng((seed, 104729, i))
-        _, cluster, _ = geometry.sample_typical_cluster(cfg, rng)
+        cluster, _ = geometry.sample_typical_cluster(cfg, rng)
         for k, b_tot in enumerate(budgets):
             loss, _ = rate_loss_adaptive_realization(
                 cluster.n_interferers, cluster.intra_dist, cfg,
@@ -668,11 +652,13 @@ def rate_lb_thresholded(cfg, n_r0=12, n_rm=8, n_rM=8):
 
 
 # ---------------------------------------------------------------------------
-# Sweep helpers returning BoundCurve
+# Sweep helper
 # ---------------------------------------------------------------------------
 
 def coverage_curve(cfg, t_db_grid):
-    """Analytic coverage bound over a dB threshold grid (mode-dispatched)."""
+    """Analytic coverage bound over a dB threshold grid (mode-dispatched).
+
+    Returns (values, errors), one entry per threshold."""
     xs = np.asarray(t_db_grid, dtype=float)
     ys = np.empty_like(xs)
     errs = np.empty_like(xs)
@@ -682,4 +668,4 @@ def coverage_curve(cfg, t_db_grid):
             ys[i], errs[i] = _coverage_lb_ic_err(cfg, t)
         else:
             ys[i], errs[i] = _coverage_lb_thresholded_err(cfg, t)
-    return BoundCurve(x=xs, y=ys, kind=CurveKind.COVERAGE_LB, quadrature_error=errs)
+    return ys, errs

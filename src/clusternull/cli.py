@@ -8,10 +8,10 @@ output CSV uses the same syntax (prefixed '# '), so a previous result file
 can be replayed directly via --config.
 
 Exit codes: 0 success, 2 bad configuration (also a value a bound finds
-outside its domain, such as --nt 1, or a bit budget that is not an
-integer >= 1), 4 a file could not be read or written, 5 any other
-package error while evaluating (for example no acceptable deployment
-realization within the sampler's attempt budget).
+outside its domain, such as --nt 1, a bit budget that is not an integer
+>= 1, or a density ratio below 1), 4 a file could not be read or written,
+5 any other package error while evaluating (for example no acceptable
+deployment realization within the sampler's attempt budget).
 Each failure prints one `error:` line on stderr.
 """
 
@@ -106,6 +106,17 @@ def default_snr_db(lambda_b):
     return 20.0 - 10.0 * math.log10(lambda_b ** 2)
 
 
+def _check_ratio(ratio):
+    """A density ratio lambda_b / lambda_c that keeps 0 < lambda_c <= lambda_b."""
+    if not 1.0 <= ratio < math.inf:
+        raise ValueError(f"ratio must be finite and >= 1, got {ratio!r}")
+
+
+def _check_budget(b_tot):
+    if not float(b_tot).is_integer() or b_tot < 1:
+        raise ValueError(f"bit budgets must be integers >= 1, got {b_tot!r}")
+
+
 def _build_spec(args, file_cfg):
     def pick(key, cast):
         cli_val = getattr(args, key.replace("-", "_"), None)
@@ -118,6 +129,7 @@ def _build_spec(args, file_cfg):
 
     lambda_b = float(pick("lambda_b", float))
     ratio = float(pick("ratio", float))
+    _check_ratio(ratio)
     alpha = float(pick("alpha", float))
     snr = pick("snr_db", float)
     snr_db = float(snr) if snr is not None else default_snr_db(lambda_b)
@@ -129,13 +141,15 @@ def _build_spec(args, file_cfg):
         mode_ant = FixedNt(int(nt))
     else:
         mode_ant = FollowN(int(dnt) if dnt is not None else 4)
+    b_tot = int(pick("btot", int))
+    _check_budget(b_tot)
     cfg = SimConfig(
         lambda_b=lambda_b,
         lambda_c=lambda_b / ratio,
         alpha=alpha,
         snr_db=snr_db,
         antenna_mode=mode_ant,
-        b_tot=int(pick("btot", int)),
+        b_tot=b_tot,
         trials=int(pick("trials", int)),
         seed=int(pick("seed", int)),
         window_cluster_count=float(pick("window_clusters", float)),
@@ -152,9 +166,13 @@ def _build_spec(args, file_cfg):
         grid = parse_range(grid_text)
         series = tuple(str(pick("strategy", str)).split(","))
         return RunSpec(command, mode, cfg, "t_db", grid, series, out)
-    if command == "rate":
-        grid_text = getattr(args, "ratio_grid", None) or file_cfg.get("ratio_grid", "")
+    if command in ("rate", "sweep"):
+        default_grid = "" if command == "rate" else "1:1:6"
+        grid_text = (getattr(args, "ratio_grid", None)
+                     or file_cfg.get("ratio_grid", default_grid))
         grid = parse_range(grid_text) if grid_text else (ratio,)
+        for r in grid:
+            _check_ratio(r)
         series = tuple(str(pick("strategy", str)).split(","))
         return RunSpec(command, mode, cfg, "ratio", grid, series, out)
     if command == "rate-loss":
@@ -163,8 +181,7 @@ def _build_spec(args, file_cfg):
         grid_text = getattr(args, "btot_grid", None) or file_cfg.get("btot_grid", "10:10:50")
         grid = parse_range(grid_text)
         for b in grid:
-            if not b.is_integer() or b < 1:
-                raise ValueError(f"bit budgets must be integers >= 1, got {b!r}")
+            _check_budget(b)
         series = tuple(str(pick("policy", str)).split(","))
         for s in series:
             if s not in montecarlo.POLICIES:
@@ -172,14 +189,11 @@ def _build_spec(args, file_cfg):
         return RunSpec(command, mode, cfg, "b_tot", grid, series, out)
     if command == "pmf-n":
         max_n = int(pick("max_n", int))
+        if max_n < 0:
+            raise ValueError(f"max_n must be >= 0, got {max_n}")
         return RunSpec(command, "analytic", cfg, "n",
                        tuple(float(n) for n in range(max_n + 1)), ("pmf",), out,
                        max_n=max_n)
-    if command == "sweep":
-        grid_text = getattr(args, "ratio_grid", None) or file_cfg.get("ratio_grid", "1:1:6")
-        grid = parse_range(grid_text)
-        series = tuple(str(pick("strategy", str)).split(","))
-        return RunSpec(command, mode, cfg, "ratio", grid, series, out)
     raise ValueError(f"unknown command {command!r}")
 
 
@@ -258,9 +272,7 @@ def run(spec):
                 mc_vals = [e.mean for e in ests]
                 mc_cis = [e.ci95_halfwidth for e in ests]
             if want_an and s == "icin":
-                curve = analysis.coverage_curve(cfg, spec.grid)
-                an_vals = list(curve.y)
-                an_errs = list(curve.quadrature_error)
+                an_vals, an_errs = analysis.coverage_curve(cfg, spec.grid)
             per_series[s] = (mc_vals, mc_cis, an_vals, an_errs)
         for i, tdb in enumerate(spec.grid):
             row = [_fmt(tdb), _fmt(ts[i])]

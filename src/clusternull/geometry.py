@@ -9,7 +9,9 @@ observation window is a disk around the typical user (the origin) holding
 rejects realizations whose serving cluster cell reaches the outer 10%
 annulus of the window, to suppress edge effects; `build_typical_cluster`
 extracts the cluster of any realization and leaves that rule to the
-sampler.
+sampler.  The cell (the Voronoi cell of the serving cluster station, cut
+to the window's bounding square) serves only that guard rule: its reach
+comes from one half-plane intersection.
 """
 
 import math
@@ -17,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
+from scipy.spatial import HalfspaceIntersection
 
 from .errors import DegenerateRealizationError
 
@@ -53,8 +56,8 @@ class SimConfig:
     window_cluster_count: float = 100.0
 
     def __post_init__(self):
-        if self.lambda_c > self.lambda_b:
-            raise ValueError("requires lambda_c <= lambda_b")
+        if not 0.0 < self.lambda_c <= self.lambda_b:
+            raise ValueError("requires 0 < lambda_c <= lambda_b")
         if self.alpha <= 2.0:
             raise ValueError("requires alpha > 2 for integrable interference")
         if self.trials < 1:
@@ -84,11 +87,9 @@ class NetworkRealization:
 
 @dataclass
 class TypicalCluster:
-    serving_bs_index: int
     r0: float                 # user -> serving BS
     intra_dist: np.ndarray    # user -> other BSs of the serving cluster, ascending
     r_m: float                # inscribed radius of the cluster cell
-    r_M: float                # circumscribed radius of the cluster cell
     out_dist: np.ndarray      # user -> every other BS in the window
     cell_reach: float         # farthest cluster-cell vertex from the user
 
@@ -126,55 +127,12 @@ def sample_realization(cfg, rng):
     )
 
 
-def _clip_halfplane(poly, origin_pt, normal):
-    """Sutherland-Hodgman clip of poly to {x : (x - origin_pt) . normal <= 0}."""
-    d = (poly - origin_pt) @ normal
-    m = len(poly)
-    out = []
-    for i in range(m):
-        j = (i + 1) % m
-        di, dj = d[i], d[j]
-        if di <= 0.0:
-            out.append(poly[i])
-        if (di < 0.0) != (dj < 0.0):
-            t = di / (di - dj)
-            out.append(poly[i] + t * (poly[j] - poly[i]))
-    return np.asarray(out) if out else np.empty((0, 2))
-
-
-def voronoi_cell(center, neighbors, window_radius):
-    """Voronoi cell polygon of `center` against `neighbors`, clipped to the
-    window bounding square.
-
-    Neighbors are cut in increasing-distance order; a bisector at
-    half-distance h cannot intersect the polygon once h exceeds the current
-    circumscribed radius, which prunes almost all cuts.
-    """
-    w = window_radius
-    poly = np.array([[-w, -w], [w, -w], [w, w], [-w, w]], dtype=float)
-    if len(neighbors) == 0:
-        return poly
-    delta = neighbors - center
-    dist = np.hypot(delta[:, 0], delta[:, 1])
-    order = np.argsort(dist)
-    r_circ = np.max(np.hypot(*(poly - center).T))
-    for k in order:
-        if 0.5 * dist[k] >= r_circ:
-            break
-        mid = center + 0.5 * delta[k]
-        poly = _clip_halfplane(poly, mid, delta[k])
-        if len(poly) == 0:
-            return poly
-        r_circ = np.max(np.hypot(*(poly - center).T))
-    return poly
-
-
 def build_typical_cluster(net):
     """Extract the tagged cluster around the typical user at the origin.
 
-    Raises DegenerateRealizationError (caller resamples) when the window is
-    empty or the serving cluster's cell collapses.  Edge effects are the
-    sampler's concern: `cell_reach` reports how far the cell extends.
+    Raises DegenerateRealizationError (caller resamples) when the window
+    lacks base or cluster stations.  Edge effects are the sampler's
+    concern: `cell_reach` reports how far the cell extends.
     """
     n_b = len(net.bs_points)
     n_c = len(net.cluster_points)
@@ -195,21 +153,23 @@ def build_typical_cluster(net):
     out_dist = bs_dist[others]
 
     neighbors = np.delete(net.cluster_points, c0_idx, axis=0)
-    nbr_dist = np.hypot(*(neighbors - c0).T)
-    r_m = 0.5 * float(np.min(nbr_dist))
+    delta = neighbors - c0
+    r_m = 0.5 * float(np.min(np.hypot(delta[:, 0], delta[:, 1])))
 
-    poly = voronoi_cell(c0, neighbors, net.window_radius)
-    if len(poly) == 0:
-        raise DegenerateRealizationError("serving cluster cell collapsed")
-    cell_reach = float(np.max(np.hypot(poly[:, 0], poly[:, 1])))
-    r_M = float(np.max(np.hypot(*(poly - c0).T)))
+    # cluster cell = bisector half-planes {x : delta . (x - c0 - delta/2) <= 0}
+    # cut to the window's bounding square; c0 lies strictly inside it
+    w = net.window_radius
+    halfspaces = np.vstack((
+        np.column_stack((delta, -np.einsum("ij,ij->i", delta, c0 + 0.5 * delta))),
+        [[1.0, 0.0, -w], [-1.0, 0.0, -w], [0.0, 1.0, -w], [0.0, -1.0, -w]],
+    ))
+    vertices = HalfspaceIntersection(halfspaces, c0).intersections
+    cell_reach = float(np.max(np.hypot(vertices[:, 0], vertices[:, 1])))
 
     return TypicalCluster(
-        serving_bs_index=serving,
         r0=r0,
         intra_dist=intra_dist,
         r_m=r_m,
-        r_M=r_M,
         out_dist=out_dist,
         cell_reach=cell_reach,
     )
@@ -239,7 +199,7 @@ def sample_typical_cluster(cfg, rng, max_attempts=1000):
     """Sample realizations until one yields a typical cluster whose cell
     stays clear of the window's guard annulus.
 
-    Returns (realization, cluster, rejections).
+    Returns (cluster, rejections).
     """
     rejections = 0
     for _ in range(max_attempts):
@@ -252,6 +212,6 @@ def sample_typical_cluster(cfg, rng, max_attempts=1000):
         if cluster.cell_reach > _GUARD_FRACTION * net.window_radius:
             rejections += 1
             continue
-        return net, cluster, rejections
+        return cluster, rejections
     raise DegenerateRealizationError(
         f"no acceptable realization in {max_attempts} attempts")

@@ -121,7 +121,7 @@ def run_trial(cfg, rng, pairs=(), e_iout=None):
     if e_iout is None and _needs_e_iout(pairs):
         e_iout = analysis.expected_iout(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
     for _ in range(64):
-        net, cluster, rejections = geometry.sample_typical_cluster(cfg, rng)
+        cluster, rejections = geometry.sample_typical_cluster(cfg, rng)
         try:
             return _trial_from_cluster(cfg, cluster, rng, pairs, e_iout,
                                        rejections)

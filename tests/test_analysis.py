@@ -444,8 +444,8 @@ def test_thresholded_coverage_in_range_and_decreasing():
 def test_thresholded_coverage_curve_reports_finite_error():
     cfg = SimConfig(lambda_b=LAM, lambda_c=LAM / 3.0, alpha=4.0, snr_db=100.0,
                     antenna_mode=FixedNt(12))
-    curve = analysis.coverage_curve(cfg, [0.0])
-    err = curve.quadrature_error[0]
+    _, errs = analysis.coverage_curve(cfg, [0.0])
+    err = errs[0]
     assert math.isfinite(err)
     assert 0.0 < err < 2e-4
 

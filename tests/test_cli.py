@@ -82,6 +82,22 @@ def test_bad_config_exit_code():
         assert r.returncode == cli.EXIT_CONFIG
         assert r.stderr.startswith("error: bad configuration")
         assert len(r.stderr.splitlines()) == 1
+    # scalar bit budgets below 1, density ratios below 1 (lambda_c above
+    # lambda_b, zero or negative), and a negative PMF range
+    for args in (["coverage", "--mode", "mc", "--strategy", "lf-adaptive",
+                  "--btot=-5", "--trials", "20", "--t-db", "0",
+                  "--lambda-b", "1", "--snr-db", "20"],
+                 ["sweep", "--mode", "mc", "--strategy", "lf-equal-bias",
+                  "--btot=0"],
+                 ["rate", "--mode", "mc", "--ratio", "0"],
+                 ["sweep", "--mode", "mc", "--ratio-grid", "0.5"],
+                 ["rate", "--mode", "mc", "--ratio=-3"],
+                 ["rate", "--mode", "analytic", "--dnt", "1", "--ratio=-3"],
+                 ["pmf-n", "--max-n", "-1"]):
+        r = run_cli(args)
+        assert r.returncode == cli.EXIT_CONFIG
+        assert r.stderr.startswith("error: bad configuration")
+        assert len(r.stderr.splitlines()) == 1
 
 
 def test_package_error_exit_code(tmp_path):
