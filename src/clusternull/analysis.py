@@ -17,6 +17,12 @@ uniform grid in ln z.  The rate-loss bounds read E log2(I_out + c) from
 the same transform by the log-moment identity
 E ln Y = Int_0^inf (e^{-z} - E e^{-zY}) dz / z, on the same grid.
 
+One coverage bound and one rate bound serve both antenna modes.  The
+mode enters only through the law of the desired-power order: FollowN(d)
+nulls with order d, and FixedNt(n_t) nulls with order n_t - N when N <
+n_t and otherwise beamforms single-cell against the N intra-cluster
+interferers, so its nulling branch is the follow-N bound mixed over N.
+
 The engine runs inside quadrature over the deployment radii.  The radius
 densities are integrated by mapping each through its own CDF, so the
 outer quadratures run on the unit square/cube with smooth integrands.
@@ -330,13 +336,50 @@ def _log_z_integral(f):
 
 
 # ---------------------------------------------------------------------------
-# Coverage and rate bounds, unconstrained antenna growth
+# Coverage and rate bounds for both antenna modes
 # ---------------------------------------------------------------------------
 
-def _require_follow(cfg):
-    if not isinstance(cfg.antenna_mode, geometry.FollowN):
-        raise DomainError("this bound needs antenna_mode = FollowN(d_nt)")
-    return cfg.antenna_mode.d_nt
+def _order_law(cfg):
+    """(order, single): order[j - 1] = P[nulling leaves Gamma(j) desired
+    power] for j = 1..n, n the series length, and the interferer-count
+    weights of the single-cell branch (N >= n_t), or None.
+
+    FollowN(d) is a point mass at order d.  FixedNt(n_t) puts P[N] at
+    order n_t - N for N < n_t; a branch whose mass is negligible is left
+    out."""
+    mode = cfg.antenna_mode
+    if isinstance(mode, geometry.FollowN):
+        if mode.d_nt < 1:
+            raise DomainError("d_nt must be >= 1")
+        order = np.zeros(mode.d_nt)
+        order[-1] = 1.0
+        return order, None
+    n_t = mode.n_t
+    if n_t < 2:
+        raise DomainError("n_t must be >= 2")
+    weights = pmf_weights(cfg.ratio)
+    order = np.zeros(n_t)
+    nulled = weights[:n_t]
+    if nulled.sum() > 1e-12:
+        order[n_t - len(nulled):] = nulled[::-1]
+    single = weights[n_t:]
+    return order, (single if single.sum() > 1e-10 else None)
+
+
+# Default radius node counts (n_r0, n_rm, n_rM) of each bound per antenna
+# mode; n_rM serves only the single-cell branch.
+_DEFAULT_NODES = {
+    ("coverage", geometry.FollowN): (20, 14, None),
+    ("coverage", geometry.FixedNt): (16, 10, 10),
+    ("rate", geometry.FollowN): (16, 10, None),
+    ("rate", geometry.FixedNt): (12, 8, 8),
+}
+
+
+def _node_counts(cfg, bound, *counts):
+    """The given (n_r0, n_rm, n_rM), each None replaced by its default."""
+    defaults = _DEFAULT_NODES[bound, type(cfg.antenna_mode)]
+    return [d if c is None else c for c, d in zip(counts, defaults)]
 
 
 def _nulling_nodes(cfg, n_r0, n_rm):
@@ -347,27 +390,45 @@ def _nulling_nodes(cfg, n_r0, n_rm):
     return r0s, w0, rms, wv
 
 
-def _coverage_lb_ic_err(cfg, t, n_r0=20, n_rm=14):
-    d = _require_follow(cfg)
-    if d < 1:
-        raise DomainError("d_nt must be >= 1")
+def _coverage_lb_err(cfg, t, n_r0=None, n_rm=None, n_rM=None):
+    order, single = _order_law(cfg)
     if t <= 0.0:
         raise DomainError("threshold must be positive")
+    n = len(order)
+    n_r0, n_rm, n_rM = _node_counts(cfg, "coverage", n_r0, n_rm, n_rM)
     r0s, w0, rms, wv = _nulling_nodes(cfg, n_r0, n_rm)
-    s = t * (1.0 + r0s[:, None]) ** cfg.alpha
-    b = _outer_log_series(s, rms, cfg, d)
+    s = t * (1.0 + r0s) ** cfg.alpha
+    b = _outer_log_series(s[:, None], rms, cfg, n)
     p = _exp_series(b)
-    wgt = np.outer(w0, wv)
-    total = float(np.sum(wgt * p.sum(axis=-1)))
-    g = s * (1.0 + rms) ** -cfg.alpha
-    err = float(np.sum(wgt * _roundoff(p, b[..., :1], d, g[..., None])
-                       .sum(axis=-1))) + _EPS
+    outer = np.einsum("ijk,j->ik", p, wv)
+    g = s[:, None] * (1.0 + rms) ** -cfg.alpha
+    outer_err = np.einsum("ijk,j->ik",
+                          _roundoff(p, b[..., :1], n, g[..., None]), wv)
+
+    # nulling: P[Gamma(order) > s Y] = sum_k P[order > k] p_k
+    below = np.cumsum(order[::-1])[::-1]
+    total = float(w0 @ (outer @ below))
+    err = _EPS + float(w0 @ (outer_err @ below))
+
+    # single-cell branch: N >= n_t, desired power Gamma(n), plus the N
+    # intra-cluster interferers uniform on the annulus [r0, r_M]
+    if single is not None:
+        rMs, ww = _rM_nodes_conditional(r0s[:, None], cfg.lambda_c, n_rM)
+        c = _annulus_series(s[:, None], r0s[:, None], rMs, cfg.alpha, n)
+        intra = np.einsum("ijk,j->ik", _power_mixture(c, single, n), ww)
+        branch = _ccdf_of_product(outer, intra)
+        total += float(w0 @ branch)
+        err += float(w0 @ (_ccdf_of_product(outer_err, intra)
+                           + branch * (n + len(single)) * _kernel_rel_err(t)))
+
     return min(max(total, 0.0), 1.0), err
 
 
-def coverage_lb_ic(cfg, t, n_r0=20, n_rm=14):
-    """Lower bound on coverage with per-cluster nulling at linear threshold t."""
-    val, _ = _coverage_lb_ic_err(cfg, t, n_r0, n_rm)
+def coverage_lb_ic(cfg, t, n_r0=None, n_rm=None, n_rM=None):
+    """Coverage lower bound at linear threshold t under the coordination
+    policy: per-cluster nulling (FollowN), or nulling when N < n_t and
+    single-cell beamforming otherwise (FixedNt)."""
+    val, _ = _coverage_lb_err(cfg, t, n_r0, n_rm, n_rM)
     return val
 
 
@@ -376,21 +437,30 @@ def _outer_laplace(s, rms, wv, cfg):
     return np.exp(_outer_log_series(s[..., None], rms, cfg, 1)[..., 0]) @ wv
 
 
-def rate_lb_ic(cfg, n_r0=16, n_rm=10):
-    """Lower bound on the average rate (bits/s/Hz) with per-cluster nulling.
+def rate_lb_ic(cfg, n_r0=None, n_rm=None, n_rM=None):
+    """Average-rate lower bound (bits/s/Hz) under the coordination policy.
 
-    E ln(1 + H/Y) = Int_0^inf (1 - (1+z)^-d) E exp(-z Y) dz / z (Hamdi's
-    lemma) with Y = L (I + 1/SNR), on the coverage bound's radius nodes.
+    E ln(1 + H/Y) = Int_0^inf (1 - E e^{-zH}) E exp(-z Y) dz / z (Hamdi's
+    lemma) with Y = L (I + 1/SNR), on the branches of `coverage_lb_ic`.
     """
-    d = _require_follow(cfg)
-    if d < 1:
-        raise DomainError("d_nt must be >= 1")
+    order, single = _order_law(cfg)
+    n = len(order)
+    n_r0, n_rm, n_rM = _node_counts(cfg, "rate", n_r0, n_rm, n_rM)
     r0s, w0, rms, wv = _nulling_nodes(cfg, n_r0, n_rm)
     big_l = (1.0 + r0s) ** cfg.alpha
+    if single is not None:
+        rMs, ww = _rM_nodes_conditional(r0s[:, None], cfg.lambda_c, n_rM)
 
     def integrand(z):
-        m_y = _outer_laplace(z[:, None] * big_l, rms, wv, cfg)
-        return _gamma_gain(z, d) * (m_y @ w0)
+        s = z[:, None] * big_l
+        m_out = _outer_laplace(s, rms, wv, cfg)
+        gain = _gamma_gain(z[:, None], np.arange(1, n + 1)) @ order
+        acc = gain[:, None] * m_out
+        if single is not None:
+            c0 = annulus_point_laplace(s[..., None], r0s[:, None], rMs, cfg.alpha)
+            intra = (c0 ** n * np.polynomial.polynomial.polyval(c0, single)) @ ww
+            acc += _gamma_gain(z, n)[:, None] * m_out * intra
+        return acc @ w0
 
     return _LOG2E * _log_z_integral(integrand)
 
@@ -443,6 +513,12 @@ def expected_log2_iout_plus(lambda_b, lambda_c, alpha, c):
 # ---------------------------------------------------------------------------
 # Rate-loss bounds under limited feedback
 # ---------------------------------------------------------------------------
+
+def _require_follow(cfg):
+    if not isinstance(cfg.antenna_mode, geometry.FollowN):
+        raise DomainError("this bound needs antenna_mode = FollowN(d_nt)")
+    return cfg.antenna_mode.d_nt
+
 
 def expected_nearest_pathloss(lambda_b, alpha, n_r0=32, n_r=32):
     """E{(1+r_{0,1})^-alpha} for the nearest interferer beyond the serving
@@ -530,12 +606,12 @@ def rate_loss_adaptive_realization(n, r_intra, cfg, e_iout=None, b_tot=None,
     return loss, alloc
 
 
-def rate_loss_ub_adaptive(cfg, geometry_trials=2000, seed=None, b_tots=None):
+def rate_loss_ub_adaptive(cfg, geometry_trials=2000, b_tots=None):
     """Network-average adaptive rate-loss bound: Monte Carlo over deployment
     geometry with analytical channel terms.
 
     Returns the bound at cfg.b_tot, or, given a sequence `b_tots`, a list
-    with the bound at each budget.  The geometry stream (seed, 104729, i)
+    with the bound at each budget.  The geometry stream (cfg.seed, 104729, i)
     does not depend on the budget, so one set of draws serves the grid.
     """
     _require_follow(cfg)
@@ -543,10 +619,9 @@ def rate_loss_ub_adaptive(cfg, geometry_trials=2000, seed=None, b_tots=None):
     e_iout = expected_iout(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
     e_log = expected_log2_iout_plus(cfg.lambda_b, cfg.lambda_c, cfg.alpha,
                                     cfg.inv_snr)
-    seed = cfg.seed if seed is None else seed
     totals = [0.0] * len(budgets)
     for i in range(geometry_trials):
-        rng = np.random.default_rng((seed, 104729, i))
+        rng = np.random.default_rng((cfg.seed, 104729, i))
         cluster, _ = geometry.sample_typical_cluster(cfg, rng)
         for k, b_tot in enumerate(budgets):
             loss, _ = rate_loss_adaptive_realization(
@@ -558,114 +633,16 @@ def rate_loss_ub_adaptive(cfg, geometry_trials=2000, seed=None, b_tots=None):
 
 
 # ---------------------------------------------------------------------------
-# Fixed-antenna thresholding bound
-# ---------------------------------------------------------------------------
-
-def _require_fixed(cfg):
-    if not isinstance(cfg.antenna_mode, geometry.FixedNt):
-        raise DomainError("thresholded bound needs antenna_mode = FixedNt(n_t)")
-    n_t = cfg.antenna_mode.n_t
-    if n_t < 2:
-        raise DomainError("n_t must be >= 2")
-    return n_t
-
-
-def _threshold_weights(cfg, n_t):
-    """Interferer-count weights of the nulling branch (N < n_t, padded to
-    n_t entries) and of the single-cell branch (N >= n_t); a branch whose
-    mass is negligible gets None."""
-    weights = pmf_weights(cfg.ratio)
-    w_ic = np.zeros(n_t)
-    w_ic[: min(n_t, len(weights))] = weights[:n_t]
-    w_nic = weights[n_t:]
-    return (w_ic if w_ic.sum() > 1e-12 else None,
-            w_nic if w_nic.sum() > 1e-10 else None)
-
-
-def _coverage_lb_thresholded_err(cfg, t, n_r0=16, n_rm=10, n_rM=10):
-    n_t = _require_fixed(cfg)
-    if t <= 0.0:
-        raise DomainError("threshold must be positive")
-    w_ic, w_nic = _threshold_weights(cfg, n_t)
-    r0s, w0, rms, wv = _nulling_nodes(cfg, n_r0, n_rm)
-    s = t * (1.0 + r0s) ** cfg.alpha
-    b = _outer_log_series(s[:, None], rms, cfg, n_t)
-    p = _exp_series(b)
-    outer = np.einsum("ijk,j->ik", p, wv)
-    g = s[:, None] * (1.0 + rms) ** -cfg.alpha
-    outer_err = np.einsum("ijk,j->ik",
-                          _roundoff(p, b[..., :1], n_t, g[..., None]), wv)
-    total = 0.0
-    err = _EPS
-
-    # nulling branch: N < n_t, desired power Gamma(n_t - N, 1)
-    if w_ic is not None:
-        below = np.cumsum(w_ic)[::-1]          # P[N < n_t - k]
-        total += float(w0 @ (outer @ below))
-        err += float(w0 @ (outer_err @ below))
-
-    # single-cell branch: N >= n_t, desired power Gamma(n_t, 1), plus the
-    # N intra-cluster interferers uniform on the annulus [r0, r_M]
-    if w_nic is not None:
-        rMs, ww = _rM_nodes_conditional(r0s[:, None], cfg.lambda_c, n_rM)
-        c = _annulus_series(s[:, None], r0s[:, None], rMs, cfg.alpha, n_t)
-        intra = np.einsum("ijk,j->ik", _power_mixture(c, w_nic, n_t), ww)
-        single = _ccdf_of_product(outer, intra)
-        total += float(w0 @ single)
-        err += float(w0 @ (_ccdf_of_product(outer_err, intra)
-                           + single * (n_t + len(w_nic)) * _kernel_rel_err(t)))
-
-    return min(max(total, 0.0), 1.0), err
-
-
-def coverage_lb_thresholded(cfg, t, n_r0=16, n_rm=10, n_rM=10):
-    """Coverage lower bound under the fixed-n_t thresholding policy:
-    nulling when N < n_t plus single-cell beamforming when N >= n_t."""
-    val, _ = _coverage_lb_thresholded_err(cfg, t, n_r0, n_rm, n_rM)
-    return val
-
-
-def rate_lb_thresholded(cfg, n_r0=12, n_rm=8, n_rM=8):
-    """Average-rate lower bound under the thresholding policy, by Hamdi's
-    lemma on the same branches as `coverage_lb_thresholded`."""
-    n_t = _require_fixed(cfg)
-    w_ic, w_nic = _threshold_weights(cfg, n_t)
-    r0s, w0, rms, wv = _nulling_nodes(cfg, n_r0, n_rm)
-    big_l = (1.0 + r0s) ** cfg.alpha
-    if w_nic is not None:
-        rMs, ww = _rM_nodes_conditional(r0s[:, None], cfg.lambda_c, n_rM)
-
-    def integrand(z):
-        s = z[:, None] * big_l
-        m_out = _outer_laplace(s, rms, wv, cfg)
-        acc = np.zeros_like(s)
-        if w_ic is not None:
-            gain = sum(w * _gamma_gain(z, n_t - n) for n, w in enumerate(w_ic))
-            acc += gain[:, None] * m_out
-        if w_nic is not None:
-            c0 = annulus_point_laplace(s[..., None], r0s[:, None], rMs, cfg.alpha)
-            intra = (c0 ** n_t * np.polynomial.polynomial.polyval(c0, w_nic)) @ ww
-            acc += _gamma_gain(z, n_t)[:, None] * m_out * intra
-        return acc @ w0
-
-    return _LOG2E * _log_z_integral(integrand)
-
-
-# ---------------------------------------------------------------------------
 # Sweep helper
 # ---------------------------------------------------------------------------
 
 def coverage_curve(cfg, t_db_grid):
-    """Analytic coverage bound over a dB threshold grid (mode-dispatched).
+    """Analytic coverage bound over a dB threshold grid.
 
     Returns (values, errors), one entry per threshold."""
     xs = np.asarray(t_db_grid, dtype=float)
     ys = np.empty_like(xs)
     errs = np.empty_like(xs)
     for i, t_db in enumerate(xs):
-        t = 10.0 ** (t_db / 10.0)
-        if isinstance(cfg.antenna_mode, geometry.FollowN):
-            ys[i], errs[i] = _coverage_lb_ic_err(cfg, t)
-        else:
-            ys[i], errs[i] = _coverage_lb_thresholded_err(cfg, t)
+        ys[i], errs[i] = _coverage_lb_err(cfg, 10.0 ** (t_db / 10.0))
     return ys, errs

@@ -35,6 +35,7 @@ LF_STRATEGIES = {
     "lf-equal-bias": "equal-bias",
     "lf-equal-nobias": "equal-nobias",
 }
+SERIES = ("icin", "nic", *LF_STRATEGIES)
 
 
 @dataclass
@@ -117,6 +118,15 @@ def _check_budget(b_tot):
         raise ValueError(f"bit budgets must be integers >= 1, got {b_tot!r}")
 
 
+def _strategies(text):
+    """The comma-separated series of coverage, rate and sweep."""
+    series = tuple(text.split(","))
+    for s in series:
+        if s not in SERIES:
+            raise ValueError(f"strategy must be one of {', '.join(SERIES)}, got {s!r}")
+    return series
+
+
 def _build_spec(args, file_cfg):
     def pick(key, cast):
         cli_val = getattr(args, key.replace("-", "_"), None)
@@ -164,7 +174,7 @@ def _build_spec(args, file_cfg):
     if command == "coverage":
         grid_text = getattr(args, "t_db", None) or file_cfg.get("t_db", "-10:2:20")
         grid = parse_range(grid_text)
-        series = tuple(str(pick("strategy", str)).split(","))
+        series = _strategies(str(pick("strategy", str)))
         return RunSpec(command, mode, cfg, "t_db", grid, series, out)
     if command in ("rate", "sweep"):
         default_grid = "" if command == "rate" else "1:1:6"
@@ -173,7 +183,7 @@ def _build_spec(args, file_cfg):
         grid = parse_range(grid_text) if grid_text else (ratio,)
         for r in grid:
             _check_ratio(r)
-        series = tuple(str(pick("strategy", str)).split(","))
+        series = _strategies(str(pick("strategy", str)))
         return RunSpec(command, mode, cfg, "ratio", grid, series, out)
     if command == "rate-loss":
         if not isinstance(mode_ant, FollowN):
@@ -223,14 +233,6 @@ def _strategy(token):
     if token in LF_STRATEGIES:
         return "lf", LF_STRATEGIES[token]
     return token, None
-
-
-def _analytic_rate(cfg, token):
-    if token != "icin":
-        return None, None
-    if isinstance(cfg.antenna_mode, FollowN):
-        return analysis.rate_lb_ic(cfg), math.nan
-    return analysis.rate_lb_thresholded(cfg), math.nan
 
 
 def run(spec):
@@ -294,8 +296,8 @@ def run(spec):
                     est = montecarlo.estimate_rate(cfg_r, strategy, policy,
                                                    arrays=arrays)
                     mc_mean, mc_ci = est.mean, est.ci95_halfwidth
-                if want_an:
-                    an_val, an_err = _analytic_rate(cfg_r, s)
+                if want_an and s == "icin":
+                    an_val, an_err = analysis.rate_lb_ic(cfg_r), math.nan
                 row.extend([_fmt(mc_mean), _fmt(mc_ci), _fmt(an_val), _fmt(an_err)])
             rows.append(row)
         return header, rows, _metadata(spec)

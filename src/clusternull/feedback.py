@@ -107,17 +107,16 @@ def equal_allocation(b_tot, n, bias=True):
     """Near-equal split of b_tot across the desired channel and n interferers.
 
     bias=True gives the division remainder to the desired channel; with
-    bias=False the remainder is discarded.
+    bias=False the remainder is discarded.  When b_tot < n + 1 the share is
+    0 and no interferer is in the effective set.
     """
-    if b_tot < n + 1:
-        raise InsufficientBudgetError(f"b_tot={b_tot} < n+1={n + 1}")
     share = b_tot // (n + 1)
     b_intra = np.full(n, share, dtype=int)
     b0 = b_tot - n * share if bias else share
     return BitAllocation(
         b0=int(b0),
         b_intra=b_intra,
-        effective_set=np.arange(n),
+        effective_set=np.arange(n if share else 0),
         regime=Regime.DOMINANT_INTER_CLUSTER,
     )
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import analysis, feedback, geometry
 from .beamforming import Beamformer, zf_null_beamformer
 from .channel import complex_gaussian, path_loss, sample_channels
-from .errors import InsufficientBudgetError, RankDeficientError
+from .errors import RankDeficientError
 
 log = logging.getLogger(__name__)
 
@@ -71,26 +71,11 @@ def _orthogonal_direction(raw, unit):
     return resid / norm
 
 
-def _equal_allocation_extended(b_tot, n, bias):
-    """equal_allocation with the natural floor extension when b_tot < n + 1
-    (everyone's share is zero; the bias variant keeps all bits on the
-    desired channel, the no-bias variant discards them)."""
-    try:
-        return feedback.equal_allocation(b_tot, n, bias)
-    except InsufficientBudgetError:
-        return feedback.BitAllocation(
-            b0=b_tot if bias else 0,
-            b_intra=np.zeros(n, dtype=int),
-            effective_set=np.arange(0),
-            regime=feedback.Regime.DOMINANT_INTER_CLUSTER,
-        )
-
-
 def _make_allocation(policy, b_tot, cluster, n_t, cfg, e_iout):
     if policy == "equal-bias":
-        return _equal_allocation_extended(b_tot, cluster.n_interferers, True)
+        return feedback.equal_allocation(b_tot, cluster.n_interferers, True)
     if policy == "equal-nobias":
-        return _equal_allocation_extended(b_tot, cluster.n_interferers, False)
+        return feedback.equal_allocation(b_tot, cluster.n_interferers, False)
     if policy == "adaptive":
         return feedback.adaptive_allocation(
             cluster.intra_dist, b_tot, n_t, cfg.alpha, e_iout, cfg.inv_snr)
@@ -241,7 +226,6 @@ class TrialArrays:
     sinr_lf: np.ndarray          # (trials, len(pairs)), one column per pair
     pairs: tuple                 # the (policy, b_tot) pairs, in column order
     n_interferers: np.ndarray
-    single_cell: np.ndarray      # bool, thresholding fell back to beamforming
     rejections: int
 
     def lf(self, policy, b_tot):
@@ -265,7 +249,6 @@ def _worker_count():
 def _run_range(cfg, pairs, e_iout, lo, hi):
     m = hi - lo
     out = np.empty((m, 3 + len(pairs)))
-    single = np.zeros(m, dtype=bool)
     rej = 0
     for i in range(m):
         rng = np.random.default_rng((cfg.seed, lo + i))
@@ -274,9 +257,8 @@ def _run_range(cfg, pairs, e_iout, lo, hi):
         out[i, 1] = o.sinr_nic
         out[i, 2] = o.n_interferers
         out[i, 3:] = o.sinr_lf
-        single[i] = o.regime_used == "single_cell"
         rej += o.rejections
-    return out, single, rej
+    return out, rej
 
 
 def _run_range_star(args):
@@ -303,8 +285,7 @@ def collect_trials(cfg, pairs=()):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_run_range_star, ranges))
     data = np.concatenate([b[0] for b in blocks], axis=0)
-    single = np.concatenate([b[1] for b in blocks])
-    rejections = sum(b[2] for b in blocks)
+    rejections = sum(b[1] for b in blocks)
     if rejections:
         log.info("resampled %d degenerate realizations over %d trials",
                  rejections, trials)
@@ -314,7 +295,6 @@ def collect_trials(cfg, pairs=()):
         sinr_lf=data[:, 3:],
         pairs=pairs,
         n_interferers=data[:, 2].astype(int),
-        single_cell=single,
         rejections=rejections,
     )
 

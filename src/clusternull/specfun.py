@@ -10,8 +10,6 @@ oracle for the special-function acceptance checks.
 import math
 from dataclasses import dataclass
 
-from scipy import integrate
-
 from .errors import DomainError
 
 # Stirling tail  S(x) = sum B_{2k} / (2k(2k-1) x^{2k-1}),  used for stable
@@ -54,6 +52,8 @@ def _euler_integral(a, b, c, z):
     The algebraic endpoint weight t^{b-1}(1-t)^{c-b-1} is handled by the
     quadrature rule itself, so only the smooth factor is sampled.
     """
+    from scipy import integrate  # only this test-oracle fallback needs it
+
     val, err = integrate.quad(
         lambda t: (1.0 - t * z) ** (-a),
         0.0,

@@ -247,9 +247,9 @@ def test_rate_bounds_equal_integrated_coverage():
         (analysis.rate_lb_ic(cfg_default(ratio=4.0, d_nt=4), n_r0=4, n_rm=3),
          lambda t: analysis.coverage_lb_ic(cfg_default(ratio=4.0, d_nt=4), t,
                                            n_r0=4, n_rm=3)),
-        (analysis.rate_lb_thresholded(cfg_fix, n_r0=4, n_rm=3, n_rM=3),
-         lambda t: analysis.coverage_lb_thresholded(cfg_fix, t, n_r0=4,
-                                                    n_rm=3, n_rM=3)),
+        (analysis.rate_lb_ic(cfg_fix, n_r0=4, n_rm=3, n_rM=3),
+         lambda t: analysis.coverage_lb_ic(cfg_fix, t, n_r0=4, n_rm=3,
+                                           n_rM=3)),
     ]
     for rate, coverage in cases:
         want, _ = integrate.quad(lambda x: coverage(math.expm1(x)), 0.0, 40.0,
@@ -414,29 +414,32 @@ def test_adaptive_bound_below_equal_bound_on_average():
 
 def test_thresholded_matches_follow_n_when_antennas_abundant():
     # N_t = 64 at ratio 3: nulling almost surely feasible, residual branch
-    # negligible; compare against the follow-N bound with matched weights
+    # negligible; both bounds equal the follow-N bounds mixed over the
+    # interferer count at matched nodes
     t = 10.0 ** 0.5
     cfg_fix = SimConfig(lambda_b=LAM, lambda_c=LAM / 3.0, alpha=4.0,
                         snr_db=100.0, antenna_mode=FixedNt(64))
-    v_fix = analysis.coverage_lb_thresholded(cfg_fix, t, n_r0=14, n_rm=10)
-    # oracle: mixture over n of the Result-1 integrand with d = 64 - n
+    v_fix = analysis.coverage_lb_ic(cfg_fix, t, n_r0=14, n_rm=10)
+    r_fix = analysis.rate_lb_ic(cfg_fix, n_r0=14, n_rm=10)
+    # oracle: mixture over n of the Result-1 bounds with d = 64 - n
     weights = analysis.pmf_weights(3.0)
-    acc = 0.0
+    acc = rate = 0.0
     for n, p in enumerate(weights):
         if 64 - n < 1:
             break
         cfg_d = SimConfig(lambda_b=LAM, lambda_c=LAM / 3.0, alpha=4.0,
                           snr_db=100.0, antenna_mode=FollowN(64 - n))
         acc += p * analysis.coverage_lb_ic(cfg_d, t, n_r0=14, n_rm=10)
-    assert abs(v_fix - acc) < 5e-3
+        rate += p * analysis.rate_lb_ic(cfg_d, n_r0=14, n_rm=10)
+    assert abs(v_fix - acc) < 1e-9
+    assert abs(r_fix - rate) < 1e-9
 
 
 def test_thresholded_coverage_in_range_and_decreasing():
     cfg = SimConfig(lambda_b=LAM, lambda_c=LAM / 3.0, alpha=4.0, snr_db=100.0,
                     antenna_mode=FixedNt(10))
     ts = [10.0 ** (x / 10.0) for x in (-5.0, 0.0, 5.0, 10.0)]
-    vals = [analysis.coverage_lb_thresholded(cfg, t, n_r0=12, n_rm=8, n_rM=8)
-            for t in ts]
+    vals = [analysis.coverage_lb_ic(cfg, t, n_r0=12, n_rm=8, n_rM=8) for t in ts]
     assert all(0.0 <= v <= 1.0 for v in vals)
     assert all(a >= b - 1e-3 for a, b in zip(vals, vals[1:]))
 
@@ -457,7 +460,7 @@ def test_thresholded_coverage_below_monte_carlo(n_t, ratio):
     cfg = SimConfig(lambda_b=LAM, lambda_c=LAM / ratio, alpha=4.0, snr_db=100.0,
                     antenna_mode=FixedNt(n_t), trials=2000, seed=41)
     est = montecarlo.estimate_coverage(cfg, [1.0], "icin")[0]
-    lb = analysis.coverage_lb_thresholded(cfg, 1.0)
+    lb = analysis.coverage_lb_ic(cfg, 1.0)
     assert lb <= est.mean + 2.0 * est.ci95_halfwidth, (lb, est)
 
 

@@ -31,6 +31,17 @@ def read_table(path):
     return meta, header, rows
 
 
+def test_cli_import_leaves_out_scipy_integrate():
+    # only the scalar 2F1 oracle's quadrature fallback uses scipy.integrate,
+    # and it imports it on first use
+    r = subprocess.run([sys.executable, "-c",
+                        "import sys, clusternull.cli; "
+                        "print('scipy.integrate' in sys.modules)"],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
+
+
 def test_parse_range():
     assert cli.parse_range("-10:2:20") == tuple(float(x) for x in range(-10, 22, 2))
     assert cli.parse_range("10:10:50") == (10.0, 20.0, 30.0, 40.0, 50.0)
@@ -65,25 +76,34 @@ def test_coverage_contract(tmp_path):
     assert meta["dnt"] == "7"
 
 
-def test_bad_config_exit_code():
-    r = run_cli(["coverage", "--dnt", "3", "--nt", "5"])
-    assert r.returncode == cli.EXIT_CONFIG
-    assert "configuration" in r.stderr
+def _main_stderr(capsys, args):
+    """Exit code and stderr of an in-process cli.main run."""
+    code = cli.main(args)
+    return code, capsys.readouterr().err
+
+
+def test_bad_config_exit_code(capsys):
+    code, err = _main_stderr(capsys, ["coverage", "--dnt", "3", "--nt", "5"])
+    assert code == cli.EXIT_CONFIG
+    assert "configuration" in err
     # parses, but the thresholded bound needs n_t >= 2
-    r = run_cli(["coverage", "--mode", "analytic", "--nt", "1", "--t-db", "0"])
-    assert r.returncode == cli.EXIT_CONFIG
-    assert r.stderr.startswith("error: bad configuration")
+    code, err = _main_stderr(capsys, ["coverage", "--mode", "analytic",
+                                      "--nt", "1", "--t-db", "0"])
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("error: bad configuration")
     # rate-loss needs antennas following N, policy series and bit budgets
     # that are integers >= 1
     for extra in (["--nt", "12"], ["--policy", "foo"],
                   ["--btot-grid", "10.5,10"], ["--btot-grid=-10"],
                   ["--btot-grid=0", "--policy", "adaptive", "--mode", "mc"]):
-        r = run_cli(["rate-loss", "--mode", "analytic", *extra])
-        assert r.returncode == cli.EXIT_CONFIG
-        assert r.stderr.startswith("error: bad configuration")
-        assert len(r.stderr.splitlines()) == 1
+        code, err = _main_stderr(capsys, ["rate-loss", "--mode", "analytic",
+                                          *extra])
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("error: bad configuration")
+        assert len(err.splitlines()) == 1
     # scalar bit budgets below 1, density ratios below 1 (lambda_c above
-    # lambda_b, zero or negative), and a negative PMF range
+    # lambda_b, zero or negative), a negative PMF range, and unknown
+    # strategy tokens
     for args in (["coverage", "--mode", "mc", "--strategy", "lf-adaptive",
                   "--btot=-5", "--trials", "20", "--t-db", "0",
                   "--lambda-b", "1", "--snr-db", "20"],
@@ -93,11 +113,15 @@ def test_bad_config_exit_code():
                  ["sweep", "--mode", "mc", "--ratio-grid", "0.5"],
                  ["rate", "--mode", "mc", "--ratio=-3"],
                  ["rate", "--mode", "analytic", "--dnt", "1", "--ratio=-3"],
-                 ["pmf-n", "--max-n", "-1"]):
-        r = run_cli(args)
-        assert r.returncode == cli.EXIT_CONFIG
-        assert r.stderr.startswith("error: bad configuration")
-        assert len(r.stderr.splitlines()) == 1
+                 ["pmf-n", "--max-n", "-1"],
+                 ["coverage", "--mode", "mc", "--strategy", "foo",
+                  "--trials", "5", "--t-db", "0"],
+                 ["rate", "--mode", "analytic", "--dnt", "1",
+                  "--strategy", "icin,foo"]):
+        code, err = _main_stderr(capsys, args)
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("error: bad configuration")
+        assert len(err.splitlines()) == 1
 
 
 def test_package_error_exit_code(tmp_path):

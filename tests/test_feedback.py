@@ -6,7 +6,7 @@ from scipy import stats
 
 from clusternull import feedback, specfun
 from clusternull.channel import complex_gaussian
-from clusternull.errors import BudgetExceededError, DomainError, InsufficientBudgetError
+from clusternull.errors import BudgetExceededError, DomainError
 from clusternull.feedback import (
     Regime,
     adaptive_allocation,
@@ -123,8 +123,14 @@ def test_equal_allocation_examples():
     a = equal_allocation(8, 7, bias=True)
     assert list(a.b_intra) == [1] * 7 and a.b0 == 1
 
-    with pytest.raises(InsufficientBudgetError):
-        equal_allocation(7, 7)
+    # below n + 1 bits every share is 0: the bias variant keeps the whole
+    # budget on the desired channel, the no-bias variant discards it
+    a = equal_allocation(7, 7, bias=True)
+    assert list(a.b_intra) == [0] * 7 and a.b0 == 7
+    assert len(a.effective_set) == 0
+    a = equal_allocation(7, 7, bias=False)
+    assert list(a.b_intra) == [0] * 7 and a.b0 == 0
+    assert len(a.effective_set) == 0
 
 
 # ---------------------------------------------------------------------------
