@@ -57,17 +57,24 @@ def pmf_n(n, ratio):
     return math.exp(ln_p)
 
 
-def pmf_weights(ratio, tail=1e-8, n_cap=600):
-    """pmf values 0..n_max where the cumulative mass reaches 1 - tail."""
+def pmf_weights(ratio, tail=1e-8):
+    """pmf values 0..n_max where the cumulative mass reaches 1 - tail.
+
+    The count is negative binomial with shape 4.5 and mean (9/7) ratio, so
+    the search runs to its mean plus 30 standard deviations, past the
+    1e-12 quantile at any ratio; DomainError if the mass still falls short.
+    """
+    mean = 4.5 * ratio / 3.5
+    sd = math.sqrt(mean * (ratio + 3.5) / 3.5)
     out = []
     cum = 0.0
-    for n in range(n_cap):
+    for n in range(int(mean + 30.0 * sd) + 100):
         p = pmf_n(n, ratio)
         out.append(p)
         cum += p
         if cum >= 1.0 - tail:
-            break
-    return np.asarray(out)
+            return np.asarray(out)
+    raise DomainError(f"pmf mass {cum!r} short of 1 - {tail:g} at ratio {ratio!r}")
 
 
 # ---------------------------------------------------------------------------

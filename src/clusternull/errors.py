@@ -13,10 +13,6 @@ class RankDeficientError(ClusterNullError):
     """Interferer direction matrix is numerically rank deficient."""
 
 
-class ZeroVectorError(ClusterNullError, ValueError):
-    """A direction was requested for an (almost) zero vector."""
-
-
 class InsufficientBudgetError(ClusterNullError, ValueError):
     """Feedback budget too small for the requested allocation."""
 

@@ -10,8 +10,15 @@ rejects realizations whose serving cluster cell reaches the outer 10%
 annulus of the window, to suppress edge effects; `build_typical_cluster`
 extracts the cluster of any realization and leaves that rule to the
 sampler.  The cell (the Voronoi cell of the serving cluster station, cut
-to the window's bounding square) serves only that guard rule: its reach
-comes from one half-plane intersection.
+to the window's bounding square) comes from one half-plane intersection;
+its reach serves the guard rule.
+
+Association is nearest-point, but a realization carries no association
+map: extraction associates only the serving cluster's candidate members,
+the base stations no farther from the serving cluster station than the
+cell's farthest vertex.  Every base station lies in the window disk, so
+every member lies in the cut cell and the candidates contain them all.
+`nearest_cluster` over all base stations gives the full map on demand.
 """
 
 import math
@@ -82,7 +89,6 @@ class NetworkRealization:
     bs_points: np.ndarray       # (n_b, 2)
     cluster_points: np.ndarray  # (n_c, 2)
     window_radius: float
-    bs_to_cluster: np.ndarray   # (n_b,) index of the nearest cluster station
 
 
 @dataclass
@@ -105,26 +111,28 @@ def _uniform_disk(rng, count, radius):
 
 
 def sample_realization(cfg, rng):
-    """One deployment: Poisson counts on the disk window, uniform positions,
-    and the nearest-cluster association map."""
+    """One deployment: Poisson counts on the disk window, then uniform
+    base-station and cluster-station positions."""
     radius = cfg.window_radius
     area = math.pi * radius * radius
     n_b = rng.poisson(cfg.lambda_b * area)
     n_c = rng.poisson(cfg.lambda_c * area)
     bs = _uniform_disk(rng, n_b, radius)
     clusters = _uniform_disk(rng, n_c, radius)
-    if n_b > 0 and n_c > 0:
-        dx = bs[:, 0, None] - clusters[None, :, 0]
-        dy = bs[:, 1, None] - clusters[None, :, 1]
-        assoc = np.argmin(dx * dx + dy * dy, axis=1)
-    else:
-        assoc = np.zeros(n_b, dtype=int)
     return NetworkRealization(
         bs_points=bs,
         cluster_points=clusters,
         window_radius=radius,
-        bs_to_cluster=assoc,
     )
+
+
+def nearest_cluster(points, clusters):
+    """Index of the nearest cluster station to each row of `points`; ties
+    go to the lower index.  A row's answer does not depend on the other
+    rows, so associating a subset gives the full map's entries."""
+    dx = points[:, 0, None] - clusters[None, :, 0]
+    dy = points[:, 1, None] - clusters[None, :, 1]
+    return np.argmin(dx * dx + dy * dy, axis=1)
 
 
 def build_typical_cluster(net):
@@ -142,15 +150,9 @@ def build_typical_cluster(net):
     bs_dist = np.hypot(net.bs_points[:, 0], net.bs_points[:, 1])
     serving = int(np.argmin(bs_dist))
     r0 = float(bs_dist[serving])
-    c0_idx = int(net.bs_to_cluster[serving])
+    c0_idx = int(nearest_cluster(net.bs_points[serving:serving + 1],
+                                 net.cluster_points)[0])
     c0 = net.cluster_points[c0_idx]
-
-    same = net.bs_to_cluster == c0_idx
-    same[serving] = False
-    intra_dist = np.sort(bs_dist[same])
-    others = ~same
-    others[serving] = False
-    out_dist = bs_dist[others]
 
     neighbors = np.delete(net.cluster_points, c0_idx, axis=0)
     delta = neighbors - c0
@@ -165,6 +167,23 @@ def build_typical_cluster(net):
     ))
     vertices = HalfspaceIntersection(halfspaces, c0).intersections
     cell_reach = float(np.max(np.hypot(vertices[:, 0], vertices[:, 1])))
+
+    # members lie in the cut cell, so within its farthest vertex of c0; the
+    # margin covers the vertices' round-off
+    reach = vertices - c0
+    c0_reach = float(np.max(np.hypot(reach[:, 0], reach[:, 1]))) * (1.0 + 1e-9)
+    offset = net.bs_points - c0
+    candidates = np.flatnonzero(np.hypot(offset[:, 0], offset[:, 1]) <= c0_reach)
+    members = candidates[nearest_cluster(net.bs_points[candidates],
+                                         net.cluster_points) == c0_idx]
+
+    same = np.zeros(n_b, dtype=bool)
+    same[members] = True
+    same[serving] = False
+    intra_dist = np.sort(bs_dist[same])
+    others = ~same
+    others[serving] = False
+    out_dist = bs_dist[others]
 
     return TypicalCluster(
         r0=r0,
@@ -188,11 +207,12 @@ def typical_bs_cluster_counts(net, interior_fraction=0.7):
     """
     if len(net.bs_points) == 0 or len(net.cluster_points) == 0:
         return np.zeros(0, dtype=int)
-    members = np.bincount(net.bs_to_cluster, minlength=len(net.cluster_points))
+    assoc = nearest_cluster(net.bs_points, net.cluster_points)
+    members = np.bincount(assoc, minlength=len(net.cluster_points))
     station_r = np.hypot(*net.cluster_points.T)
     interior = station_r <= interior_fraction * net.window_radius
-    peers = members[net.bs_to_cluster] - 1
-    return peers[interior[net.bs_to_cluster]]
+    peers = members[assoc] - 1
+    return peers[interior[assoc]]
 
 
 def sample_typical_cluster(cfg, rng, max_attempts=1000):

@@ -11,12 +11,14 @@ pair exactly across policies and budgets (common random numbers), a
 multi-pair collection equals the single-pair collections column for
 column, and results are bit-identical for any worker count.
 
-A pair can change a trial's draws in one way only: its limited-feedback
+Every beamformer of a trial nulls the same directions, so the trial
+factors their basis once (`nulling_basis`, one QR and the collinearity
+check) and each beamformer only projects onto it.  A collinear direction
+set resamples the whole realization before any beamformer is built.  A
+pair can change a trial's draws in one way only: its limited-feedback
 `zf_null_beamformer` call raises RankDeficientError and the whole
-realization is resampled.  The collinearity check depends only on the
-nulling directions, which perfect-CSI nulling has already passed, so the
-one reason left is the measure-zero event that the quantized desired
-direction lies in the nulled span.
+realization is resampled.  That is the measure-zero event that the
+quantized desired direction lies in the nulled span.
 """
 
 import logging
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, feedback, geometry
-from .beamforming import Beamformer, zf_null_beamformer
+from .beamforming import Beamformer, nulling_basis, zf_null_beamformer
 from .channel import complex_gaussian, path_loss, sample_channels
 from .errors import RankDeficientError
 
@@ -43,8 +45,6 @@ class TrialOutcome:
     sinr_nic: float                # SINR under unconditional beamforming
     sinr_lf: tuple                 # limited-feedback SINR, one per (policy, b_tot)
     n_interferers: int
-    regime_used: str               # "icin" | "single_cell"
-    allocations: tuple             # BitAllocation per pair; None where infeasible
     rejections: int = 0
 
 
@@ -151,25 +151,21 @@ def _trial_from_cluster(cfg, cluster, rng, pairs, e_iout, rejections):
     if feasible:
         h_dir = chans.h0 / norm_h
         if n > 0:
-            dirs = null_raw / np.linalg.norm(null_raw, axis=1, keepdims=True)
-            f0 = zf_null_beamformer(h_dir, dirs)
+            basis = nulling_basis(
+                null_raw / np.linalg.norm(null_raw, axis=1, keepdims=True))
+            f0 = zf_null_beamformer(h_dir, basis)
         else:
-            dirs = null_raw
             f0 = Beamformer(f=h_dir)
         des_ic = abs(chans.h0.conj() @ f0.f) ** 2 / l0
         sinr_ic = des_ic / (i_out + inv_snr)
-        regime = "icin"
     else:
         sinr_ic = sinr_nic
-        regime = "single_cell"
 
     if not feasible:
         sinr_lf = tuple(float(sinr_nic) for _ in pairs)
-        allocations = (None,) * len(pairs)
     else:
         g_norm2 = np.linalg.norm(chans.g_intra, axis=1) ** 2
         sinr_lf = []
-        allocations = []
         for policy, b_tot in pairs:
             alloc = _make_allocation(policy, b_tot, cluster, n_t, cfg, e_iout)
             if alloc.b0 >= 1 and n_t > 1:
@@ -182,7 +178,7 @@ def _trial_from_cluster(cfg, cluster, rng, pairs, e_iout, rejections):
             else:
                 h_hat = w0_raw / np.linalg.norm(w0_raw)
             if n > 0:
-                f0_hat = zf_null_beamformer(h_hat, dirs)
+                f0_hat = zf_null_beamformer(h_hat, basis)
             else:
                 f0_hat = Beamformer(f=h_hat)
             des_lf = abs(chans.h0.conj() @ f0_hat.f) ** 2 / l0
@@ -202,15 +198,12 @@ def _trial_from_cluster(cfg, cluster, rng, pairs, e_iout, rejections):
                     # user, so the effective fading is plain Exp(1)
                     i_res += pl_intra[ell] * zero_bit_fading[ell]
             sinr_lf.append(float(des_lf / (i_out + i_res + inv_snr)))
-            allocations.append(alloc)
 
     return TrialOutcome(
         sinr_ic=float(sinr_ic),
         sinr_nic=float(sinr_nic),
         sinr_lf=tuple(sinr_lf),
         n_interferers=n,
-        regime_used=regime,
-        allocations=tuple(allocations),
         rejections=rejections,
     )
 

@@ -21,7 +21,7 @@ import pytest
 from scipy import stats
 
 from clusternull import analysis, cli, feedback, montecarlo, specfun
-from clusternull.beamforming import zf_null_beamformer
+from clusternull.beamforming import nulling_basis, zf_null_beamformer
 from clusternull.channel import complex_gaussian
 from clusternull.geometry import (FixedNt, FollowN, SimConfig,
                                   sample_realization, typical_bs_cluster_counts)
@@ -58,7 +58,7 @@ def test_acceptance_01_zf_exactness():
         g = complex_gaussian(rng, n, n_t)
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         h = complex_gaussian(rng, n_t)
-        f = zf_null_beamformer(h / np.linalg.norm(h), g).f
+        f = zf_null_beamformer(h / np.linalg.norm(h), nulling_basis(g)).f
         worst_dot = max(worst_dot, float(np.abs(g.conj() @ f).max()))
         worst_norm = max(worst_norm, abs(np.linalg.norm(f) - 1.0))
     dt = time.time() - t0

@@ -501,3 +501,9 @@ def test_rate_loss_ub_adaptive_grid_equals_scalar_calls():
                                              geometry_trials=120)
               for b in budgets]
     assert grid == scalar
+
+
+@pytest.mark.parametrize("ratio", [100.0, 300.0, 1000.0])
+def test_pmf_weights_reach_tail_at_large_ratio(ratio):
+    # the count law's mass past ratio ~75 lies beyond any fixed term cap
+    assert analysis.pmf_weights(ratio).sum() >= 1.0 - 1e-8

@@ -10,6 +10,7 @@ from clusternull.geometry import (
     NetworkRealization,
     SimConfig,
     build_typical_cluster,
+    nearest_cluster,
     sample_realization,
     sample_typical_cluster,
     typical_bs_cluster_counts,
@@ -60,14 +61,14 @@ def test_association_is_argmin_and_permutation_invariant():
     rng = np.random.default_rng(1)
     net = sample_realization(cfg, rng)
     d2 = ((net.bs_points[:, None, :] - net.cluster_points[None, :, :]) ** 2).sum(axis=2)
-    assert np.array_equal(net.bs_to_cluster, d2.argmin(axis=1))
+    assert np.array_equal(nearest_cluster(net.bs_points, net.cluster_points),
+                          d2.argmin(axis=1))
 
     perm = np.random.default_rng(2).permutation(len(net.cluster_points))
     net2 = NetworkRealization(
         bs_points=net.bs_points,
         cluster_points=net.cluster_points[perm],
         window_radius=net.window_radius,
-        bs_to_cluster=d2[:, perm].argmin(axis=1),
     )
     c1 = build_typical_cluster(net)
     c2 = build_typical_cluster(net2)
@@ -82,7 +83,6 @@ def test_two_station_toy_network():
         bs_points=np.array([[1.0, 0.0], [0.0, 2.0]]),
         cluster_points=np.array([[0.5, 0.5], [40.0, 40.0]]),
         window_radius=50.0,
-        bs_to_cluster=np.array([0, 0]),
     )
     cl = build_typical_cluster(net)
     assert cl.r0 == pytest.approx(1.0)
@@ -119,7 +119,8 @@ def test_cell_matches_scipy_voronoi():
                 cl = build_typical_cluster(net)
             except DegenerateRealizationError:
                 continue
-            c0_idx = net.bs_to_cluster[np.argmin(np.hypot(*net.bs_points.T))]
+            c0_idx = nearest_cluster(net.bs_points, net.cluster_points)[
+                np.argmin(np.hypot(*net.bs_points.T))]
             c0 = net.cluster_points[c0_idx]
             vor = Voronoi(net.cluster_points)
             region = vor.regions[vor.point_region[c0_idx]]
@@ -205,7 +206,6 @@ def test_degenerate_realizations_rejected(monkeypatch):
         bs_points=np.zeros((0, 2)),
         cluster_points=np.zeros((0, 2)),
         window_radius=10.0,
-        bs_to_cluster=np.zeros(0, dtype=int),
     )
     with pytest.raises(DegenerateRealizationError):
         build_typical_cluster(net)
@@ -215,7 +215,6 @@ def test_degenerate_realizations_rejected(monkeypatch):
         bs_points=np.array([[0.5, 0.0]]),
         cluster_points=np.array([[0.0, 0.0], [30.0, 0.0]]),
         window_radius=10.0,
-        bs_to_cluster=np.array([0]),
     )
     assert build_typical_cluster(net).cell_reach > 0.9 * net.window_radius
     monkeypatch.setattr(geometry, "sample_realization", lambda cfg, rng: net)
@@ -229,7 +228,7 @@ def test_reproducible_sampling():
     a = sample_realization(cfg, np.random.default_rng((42, 0)))
     b = sample_realization(cfg, np.random.default_rng((42, 0)))
     assert np.array_equal(a.bs_points, b.bs_points)
-    assert np.array_equal(a.bs_to_cluster, b.bs_to_cluster)
+    assert np.array_equal(a.cluster_points, b.cluster_points)
 
 
 @pytest.mark.parametrize("ratio", [1.0, 3.0, 6.0])
@@ -242,4 +241,53 @@ def test_association_matches_dense_argmin(ratio):
         net = sample_realization(cfg, rng)
         bs, cl = net.bs_points, net.cluster_points
         d2 = ((bs[:, None, :] - cl[None, :, :]) ** 2).sum(axis=2)
-        assert np.array_equal(net.bs_to_cluster, d2.argmin(axis=1))
+        assert np.array_equal(nearest_cluster(bs, cl), d2.argmin(axis=1))
+
+
+@pytest.mark.parametrize("ratio", [1.0, 3.0, 6.0])
+@pytest.mark.parametrize("lambda_b", [1e-4, 1.0])
+def test_candidate_association_matches_full_map(lambda_b, ratio):
+    # extraction associates only the stations within the cell's farthest
+    # vertex of c0; its cluster must equal the one the full map gives, in
+    # the same order, on every realization the guard rule would see
+    cfg = SimConfig(lambda_b=lambda_b, lambda_c=lambda_b / ratio)
+    rng = np.random.default_rng((18, int(ratio), int(lambda_b)))
+    checked = 0
+    while checked < 100:
+        net = sample_realization(cfg, rng)
+        try:
+            cl = build_typical_cluster(net)
+        except DegenerateRealizationError:
+            continue
+        assoc = nearest_cluster(net.bs_points, net.cluster_points)
+        bs_dist = np.hypot(net.bs_points[:, 0], net.bs_points[:, 1])
+        serving = int(np.argmin(bs_dist))
+        same = assoc == assoc[serving]
+        same[serving] = False
+        others = ~same
+        others[serving] = False
+        assert cl.r0 == bs_dist[serving]
+        assert np.array_equal(cl.intra_dist, np.sort(bs_dist[same]))
+        assert np.array_equal(cl.out_dist, bs_dist[others])
+        checked += 1
+
+
+def test_extraction_associates_only_candidates(monkeypatch):
+    # the serving station's row, then the candidate rows: never the dense
+    # map over every station of the window
+    rows = []
+    real = geometry.nearest_cluster
+
+    def counting(points, clusters):
+        rows.append(len(points))
+        return real(points, clusters)
+
+    monkeypatch.setattr(geometry, "nearest_cluster", counting)
+    cfg = cfg_ratio(3.0)
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        net = sample_realization(cfg, rng)
+        rows.clear()
+        build_typical_cluster(net)
+        assert rows[0] == 1 and len(rows) == 2
+        assert rows[1] < len(net.bs_points) / 4

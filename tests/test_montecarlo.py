@@ -29,8 +29,10 @@ def test_trial_basic_invariants():
         assert len(o.sinr_lf) == 1
         # quantization only hurts, exactly, per trial
         assert o.sinr_lf[0] <= o.sinr_ic * (1.0 + 1e-12)
-        assert o.regime_used == "icin"
-        assert o.allocations[0].total == cfg.b_tot
+        # the pair's equal split (remainder to the desired channel) spends
+        # the whole budget
+        assert feedback.equal_allocation(cfg.b_tot, o.n_interferers,
+                                         True).total == cfg.b_tot
 
 
 def test_lf_converges_to_perfect_csi_with_many_bits():
@@ -56,13 +58,30 @@ def test_fixed_nt_thresholding_branches():
     seen = set()
     for i in range(150):
         o = montecarlo.run_trial(cfg, np.random.default_rng((5, i)))
-        seen.add(o.regime_used)
-        if o.regime_used == "single_cell":
-            assert o.n_interferers >= 4
+        single_cell = o.n_interferers >= 4
+        seen.add(single_cell)
+        if single_cell:
             assert o.sinr_ic == o.sinr_nic
-        else:
-            assert o.n_interferers < 4
-    assert seen == {"icin", "single_cell"}
+    assert seen == {False, True}
+
+
+def test_one_nulling_basis_per_trial(monkeypatch):
+    # every beamformer of a trial nulls the same directions: one
+    # factorization serves perfect CSI and every (policy, b_tot) pair
+    calls = []
+    real = montecarlo.nulling_basis
+
+    def counting(g_dirs):
+        calls.append(len(g_dirs))
+        return real(g_dirs)
+
+    monkeypatch.setattr(montecarlo, "nulling_basis", counting)
+    cfg = cfg_make(trials=1)
+    pairs = [(p, b) for b in (3, 24) for p in montecarlo.POLICIES]
+    for i in range(20):
+        calls.clear()
+        o = montecarlo.run_trial(cfg, np.random.default_rng((13, i)), pairs)
+        assert calls == ([o.n_interferers] if o.n_interferers else [])
 
 
 def test_reproducibility_and_thread_independence():
