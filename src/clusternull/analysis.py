@@ -527,11 +527,11 @@ def _require_follow(cfg):
     return cfg.antenna_mode.d_nt
 
 
-def expected_nearest_pathloss(lambda_b, alpha, n_r0=32, n_r=32):
+def expected_nearest_pathloss(lambda_b, alpha):
     """E{(1+r_{0,1})^-alpha} for the nearest interferer beyond the serving
     distance: Rayleigh nearest-point density conditioned on r > r0."""
-    r0s, w0 = _r0_nodes(lambda_b, n_r0)
-    t, wt = _gl01(n_r)
+    r0s, w0 = _r0_nodes(lambda_b, _IOUT_NODES)
+    t, wt = _gl01(_IOUT_NODES)
     total = 0.0
     for r0, wu in zip(r0s, w0):
         r = np.sqrt(r0 * r0 - np.log(t) / (math.pi * lambda_b))
@@ -539,8 +539,8 @@ def expected_nearest_pathloss(lambda_b, alpha, n_r0=32, n_r=32):
     return total
 
 
-def rate_loss_ub_equal(cfg, bias=True):
-    """Mean rate-loss upper bound with (near-)equal bit allocation.
+def rate_loss_ub_equal(cfg, b_tot, bias=True):
+    """Mean rate-loss upper bound with (near-)equal allocation of b_tot bits.
 
     Term by term: RVQ loss of the desired channel, the log-interference
     term -E{log2 I_out}, and the residual-plus-floor log term with the
@@ -551,7 +551,6 @@ def rate_loss_ub_equal(cfg, bias=True):
     -E{log2 I_out} + log2(1/SNR + E{I_out}) as b_tot -> inf.
     """
     d = _require_follow(cfg)
-    b_tot = cfg.b_tot
     weights = pmf_weights(cfg.ratio)
     e_iout = expected_iout(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
     e_log = expected_log2_iout_plus(cfg.lambda_b, cfg.lambda_c, cfg.alpha, 0.0)
@@ -571,23 +570,16 @@ def rate_loss_ub_equal(cfg, bias=True):
             + math.log2(cfg.inv_snr + e_iout + term_res * e_near))
 
 
-def rate_loss_adaptive_realization(n, r_intra, cfg, e_iout=None, b_tot=None,
-                                   e_log=None):
+def rate_loss_adaptive_realization(n, r_intra, cfg, b_tot, e_iout, e_log):
     """Per-realization rate-loss bound at the adaptive integer allocation
-    of b_tot bits (default cfg.b_tot).
+    of b_tot bits.
 
     Returns (loss, allocation).  The low-/high-SNR form is selected by the
-    allocation's regime flag.  `e_log` is E{log2(I_out + 1/SNR)}; callers
-    looping over realizations pass it and `e_iout` precomputed.
+    allocation's regime flag.  `e_iout` is E{I_out} and `e_log` is
+    E{log2(I_out + 1/SNR)}, both computed once per configuration.
     """
     d = _require_follow(cfg)
     n_t = n + d
-    b_tot = cfg.b_tot if b_tot is None else b_tot
-    if e_iout is None:
-        e_iout = expected_iout(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
-    if e_log is None:
-        e_log = expected_log2_iout_plus(cfg.lambda_b, cfg.lambda_c, cfg.alpha,
-                                        cfg.inv_snr)
     alloc = feedback.adaptive_allocation(
         r_intra, b_tot, n_t, cfg.alpha, e_iout, cfg.inv_snr)
     floor = e_iout + cfg.inv_snr
@@ -613,16 +605,16 @@ def rate_loss_adaptive_realization(n, r_intra, cfg, e_iout=None, b_tot=None,
     return loss, alloc
 
 
-def rate_loss_ub_adaptive(cfg, geometry_trials=2000, b_tots=None):
+def rate_loss_ub_adaptive(cfg, b_tots, geometry_trials=2000):
     """Network-average adaptive rate-loss bound: Monte Carlo over deployment
     geometry with analytical channel terms.
 
-    Returns the bound at cfg.b_tot, or, given a sequence `b_tots`, a list
-    with the bound at each budget.  The geometry stream (cfg.seed, 104729, i)
-    does not depend on the budget, so one set of draws serves the grid.
+    Returns a list with the bound at each budget of `b_tots`.  The geometry
+    stream (cfg.seed, 104729, i) does not depend on the budget, so one set
+    of draws serves the grid.
     """
     _require_follow(cfg)
-    budgets = [cfg.b_tot] if b_tots is None else [int(b) for b in b_tots]
+    budgets = [int(b) for b in b_tots]
     e_iout = expected_iout(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
     e_log = expected_log2_iout_plus(cfg.lambda_b, cfg.lambda_c, cfg.alpha,
                                     cfg.inv_snr)
@@ -632,11 +624,10 @@ def rate_loss_ub_adaptive(cfg, geometry_trials=2000, b_tots=None):
         cluster, _ = geometry.sample_typical_cluster(cfg, rng)
         for k, b_tot in enumerate(budgets):
             loss, _ = rate_loss_adaptive_realization(
-                cluster.n_interferers, cluster.intra_dist, cfg,
-                e_iout=e_iout, b_tot=b_tot, e_log=e_log)
+                cluster.n_interferers, cluster.intra_dist, cfg, b_tot,
+                e_iout, e_log)
             totals[k] += loss
-    means = [total / geometry_trials for total in totals]
-    return means[0] if b_tots is None else means
+    return [total / geometry_trials for total in totals]
 
 
 # ---------------------------------------------------------------------------

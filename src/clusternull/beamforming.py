@@ -6,18 +6,11 @@ basis's orthogonal complement.  Every beamformer that nulls the same
 directions shares one basis.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import RankDeficientError
 
 _COND_LIMIT = 1e6  # cond(G) bound; cond(G*G) = cond(G)^2 <= 1e12
-
-
-@dataclass
-class Beamformer:
-    f: np.ndarray  # unit-norm complex vector, length n_t
 
 
 def _fix_phase(f):
@@ -50,8 +43,8 @@ def nulling_basis(g_dirs):
 
 
 def zf_null_beamformer(h_dir, basis):
-    """Unit beamformer along h_dir projected onto the orthogonal complement
-    of `basis` (from `nulling_basis`).
+    """Unit beamformer (length n_t) along h_dir projected onto the
+    orthogonal complement of `basis` (from `nulling_basis`).
 
     Among unit vectors orthogonal to every nulled direction, the result
     maximizes |h_dir* f|.  Raises RankDeficientError when h_dir lies in
@@ -62,4 +55,4 @@ def zf_null_beamformer(h_dir, basis):
     norm = np.linalg.norm(f)
     if norm < 1e-12:
         raise RankDeficientError("desired direction lies in the nulled span")
-    return Beamformer(f=_fix_phase(f / norm))
+    return _fix_phase(f / norm)

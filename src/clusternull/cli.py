@@ -48,6 +48,7 @@ class RunSpec:
     series: tuple = ("icin",)
     output_path: str = "-"
     max_n: int = 40
+    b_tot: int = 50                 # --btot: the budget of every lf-* series
 
 
 def parse_range(text):
@@ -159,7 +160,6 @@ def _build_spec(args, file_cfg):
         alpha=alpha,
         snr_db=snr_db,
         antenna_mode=mode_ant,
-        b_tot=b_tot,
         trials=int(pick("trials", int)),
         seed=int(pick("seed", int)),
         window_cluster_count=float(pick("window_clusters", float)),
@@ -175,7 +175,7 @@ def _build_spec(args, file_cfg):
         grid_text = getattr(args, "t_db", None) or file_cfg.get("t_db", "-10:2:20")
         grid = parse_range(grid_text)
         series = _strategies(str(pick("strategy", str)))
-        return RunSpec(command, mode, cfg, "t_db", grid, series, out)
+        return RunSpec(command, mode, cfg, "t_db", grid, series, out, b_tot=b_tot)
     if command in ("rate", "sweep"):
         default_grid = "" if command == "rate" else "1:1:6"
         grid_text = (getattr(args, "ratio_grid", None)
@@ -184,7 +184,7 @@ def _build_spec(args, file_cfg):
         for r in grid:
             _check_ratio(r)
         series = _strategies(str(pick("strategy", str)))
-        return RunSpec(command, mode, cfg, "ratio", grid, series, out)
+        return RunSpec(command, mode, cfg, "ratio", grid, series, out, b_tot=b_tot)
     if command == "rate-loss":
         if not isinstance(mode_ant, FollowN):
             raise ValueError("rate-loss needs antennas following N (use dnt)")
@@ -196,14 +196,14 @@ def _build_spec(args, file_cfg):
         for s in series:
             if s not in montecarlo.POLICIES:
                 raise ValueError(f"rate-loss series must be a policy, got {s!r}")
-        return RunSpec(command, mode, cfg, "b_tot", grid, series, out)
+        return RunSpec(command, mode, cfg, "b_tot", grid, series, out, b_tot=b_tot)
     if command == "pmf-n":
         max_n = int(pick("max_n", int))
         if max_n < 0:
             raise ValueError(f"max_n must be >= 0, got {max_n}")
         return RunSpec(command, "analytic", cfg, "n",
                        tuple(float(n) for n in range(max_n + 1)), ("pmf",), out,
-                       max_n=max_n)
+                       max_n=max_n, b_tot=b_tot)
     raise ValueError(f"unknown command {command!r}")
 
 
@@ -221,18 +221,13 @@ def _cfg_at_ratio(cfg, ratio):
     return replace(cfg, lambda_c=cfg.lambda_b / ratio)
 
 
-def _collect(cfg, series):
-    """One trial collection serving every strategy in `series`: the
-    limited-feedback ones become (policy, cfg.b_tot) pairs."""
-    return montecarlo.collect_trials(
-        cfg, [(LF_STRATEGIES[s], cfg.b_tot) for s in series if s in LF_STRATEGIES])
-
-
-def _strategy(token):
-    """(montecarlo strategy, policy) of a CLI series token."""
-    if token in LF_STRATEGIES:
-        return "lf", LF_STRATEGIES[token]
-    return token, None
+def _sinr_columns(cfg, series, b_tot):
+    """Each series token's SINR column, all read from one trial collection:
+    the limited-feedback tokens become (policy, b_tot) pairs."""
+    pairs = {s: (LF_STRATEGIES[s], b_tot) for s in series if s in LF_STRATEGIES}
+    arrays = montecarlo.collect_trials(cfg, pairs.values())
+    fixed = {"icin": arrays.sinr_ic, "nic": arrays.sinr_nic}
+    return {s: arrays.lf(*pairs[s]) if s in pairs else fixed[s] for s in series}
 
 
 def run(spec):
@@ -260,7 +255,7 @@ def run(spec):
 
     if spec.command == "coverage":
         ts = [10.0 ** (tdb / 10.0) for tdb in spec.grid]
-        arrays = _collect(cfg, spec.series) if want_mc else None
+        sinr = _sinr_columns(cfg, spec.series, spec.b_tot) if want_mc else None
         per_series = {}
         for s in spec.series:
             mc_vals = [None] * len(ts)
@@ -268,9 +263,7 @@ def run(spec):
             an_vals = [None] * len(ts)
             an_errs = [None] * len(ts)
             if want_mc:
-                strategy, policy = _strategy(s)
-                ests = montecarlo.estimate_coverage(cfg, ts, strategy, policy,
-                                                    arrays=arrays)
+                ests = montecarlo.estimate_coverage(sinr[s], ts)
                 mc_vals = [e.mean for e in ests]
                 mc_cis = [e.ci95_halfwidth for e in ests]
             if want_an and s == "icin":
@@ -287,14 +280,12 @@ def run(spec):
     if spec.command in ("rate", "sweep"):
         for ratio in spec.grid:
             cfg_r = _cfg_at_ratio(cfg, ratio)
-            arrays = _collect(cfg_r, spec.series) if want_mc else None
+            sinr = _sinr_columns(cfg_r, spec.series, spec.b_tot) if want_mc else None
             row = [_fmt(ratio), _fmt(ratio)]
             for s in spec.series:
                 mc_mean = mc_ci = an_val = an_err = None
                 if want_mc:
-                    strategy, policy = _strategy(s)
-                    est = montecarlo.estimate_rate(cfg_r, strategy, policy,
-                                                   arrays=arrays)
+                    est = montecarlo.estimate_rate(sinr[s])
                     mc_mean, mc_ci = est.mean, est.ci95_halfwidth
                 if want_an and s == "icin":
                     an_val, an_err = analysis.rate_lb_ic(cfg_r), math.nan
@@ -309,21 +300,21 @@ def run(spec):
             arrays = montecarlo.collect_trials(
                 cfg, [(s, b) for b in budgets for s in spec.series])
         if want_an and "adaptive" in spec.series:
-            adaptive_ub = analysis.rate_loss_ub_adaptive(cfg, b_tots=budgets)
-        for k, b_tot in enumerate(spec.grid):
-            cfg_b = replace(cfg, b_tot=budgets[k])
+            adaptive_ub = analysis.rate_loss_ub_adaptive(cfg, budgets)
+        for k, b_tot in enumerate(budgets):
             row = [_fmt(b_tot), _fmt(b_tot)]
             for s in spec.series:
                 mc_mean = mc_ci = an_val = an_err = None
                 if want_mc:
-                    est = montecarlo.estimate_rate_loss(cfg_b, s, arrays=arrays)
+                    est = montecarlo.estimate_rate_loss(arrays.sinr_ic,
+                                                        arrays.lf(s, b_tot))
                     mc_mean, mc_ci = est.mean, est.ci95_halfwidth
                 if want_an:
                     if s == "adaptive":
                         an_val = adaptive_ub[k]
                     else:
                         an_val = analysis.rate_loss_ub_equal(
-                            cfg_b, bias=(s == "equal-bias"))
+                            cfg, b_tot, bias=(s == "equal-bias"))
                     an_err = math.nan
                 row.extend([_fmt(mc_mean), _fmt(mc_ci), _fmt(an_val), _fmt(an_err)])
             rows.append(row)
@@ -343,7 +334,7 @@ def _metadata(spec):
         "ratio": repr(cfg.ratio),
         "alpha": repr(cfg.alpha),
         "snr_db": repr(cfg.snr_db),
-        "btot": str(cfg.b_tot),
+        "btot": str(spec.b_tot),
         "trials": str(cfg.trials),
         "seed": str(cfg.seed),
         "window_clusters": repr(cfg.window_cluster_count),

@@ -13,13 +13,5 @@ class RankDeficientError(ClusterNullError):
     """Interferer direction matrix is numerically rank deficient."""
 
 
-class InsufficientBudgetError(ClusterNullError, ValueError):
-    """Feedback budget too small for the requested allocation."""
-
-
-class BudgetExceededError(ClusterNullError, ValueError):
-    """Requested codebook size above the explicit-codebook cap."""
-
-
 class DegenerateRealizationError(ClusterNullError):
     """Sampled deployment fails the typical-cluster preconditions; resample."""

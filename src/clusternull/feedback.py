@@ -1,5 +1,6 @@
-"""Limited-feedback machinery: RVQ codebooks, quantization laws, and
-equal/adaptive partitioning of the feedback budget across channels."""
+"""Limited-feedback machinery: the exact law of RVQ (random vector
+quantization) distortion, its means, and equal/adaptive partitioning of the
+feedback budget across channels."""
 
 import enum
 import math
@@ -8,10 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import BudgetExceededError, DomainError, InsufficientBudgetError
-
-B_MAX = 22                 # explicit codebooks capped at 4M codewords
-_CHUNK = 1 << 15
+from .errors import DomainError
 
 
 class Regime(enum.Enum):
@@ -35,43 +33,14 @@ class BitAllocation:
 # RVQ quantization
 # ---------------------------------------------------------------------------
 
-def rvq_quantize(v_dir, bits, rng):
-    """Pick the best of 2^bits independent isotropic unit codewords.
-
-    Returns the codeword maximizing |v_dir* c|; ties break to the lowest
-    codeword index.  The codebook is regenerated per call (no sharing
-    across users), in chunks to bound memory.
-    """
-    if bits < 1:
-        raise DomainError(f"rvq_quantize needs bits >= 1, got {bits}")
-    if bits > B_MAX:
-        raise BudgetExceededError(f"bits={bits} exceeds explicit-codebook cap {B_MAX}")
-    v_dir = np.asarray(v_dir, dtype=complex)
-    n_t = len(v_dir)
-    remaining = 1 << bits
-    best_val = -1.0
-    best_code = None
-    while remaining > 0:
-        m = min(remaining, _CHUNK)
-        raw = rng.standard_normal((m, 2 * n_t)).view(np.complex128)
-        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-        scores = np.abs(raw @ v_dir.conj())
-        k = int(np.argmax(scores))
-        if scores[k] > best_val:
-            best_val = float(scores[k])
-            best_code = raw[k].copy()
-        remaining -= m
-    return best_code
-
-
 def sample_rvq_sin2(n_t, bits, u):
     """Exact law of the RVQ chordal distortion sin^2(angle(v, c_best)).
 
     For isotropic codewords in C^n_t the per-codeword distortion is
     Beta(n_t - 1, 1); the chosen codeword realizes the minimum over 2^bits
     draws, sampled here by inverse transform of a single uniform u.
-    Identical in distribution to quantizing with rvq_quantize, at O(1)
-    cost for any bit count.
+    Identical in distribution to picking the best of 2^bits isotropic
+    codewords, at O(1) cost for any bit count.
     """
     if n_t == 1:
         return np.zeros_like(np.asarray(u, dtype=float))
@@ -173,7 +142,7 @@ def adaptive_allocation(r_intra, b_tot, n_t, alpha, e_iout, inv_snr):
     r_intra = np.asarray(r_intra, dtype=float)
     n = len(r_intra)
     if b_tot < 1:
-        raise InsufficientBudgetError(f"b_tot={b_tot} < 1")
+        raise DomainError(f"adaptive_allocation needs b_tot >= 1, got {b_tot}")
     if n == 0:
         return BitAllocation(int(b_tot), np.zeros(0, dtype=int), np.arange(0),
                              Regime.DOMINANT_INTER_CLUSTER)

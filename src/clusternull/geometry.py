@@ -57,7 +57,6 @@ class SimConfig:
     alpha: float = 4.0
     snr_db: float = 10.0
     antenna_mode: AntennaMode = field(default_factory=lambda: FollowN(4))
-    b_tot: int = 50
     trials: int = 1000
     seed: int = 0
     window_cluster_count: float = 100.0

@@ -1,5 +1,6 @@
-"""End-to-end simulation oracle: per-realization SINRs for each strategy and
-estimators for coverage, average rate, and mean rate loss.
+"""End-to-end simulation oracle: per-realization SINRs for each strategy,
+collected once into columns, and estimators for coverage, average rate, and
+mean rate loss over those columns.
 
 Reproducibility: trial i draws everything from the counter-derived stream
 default_rng((seed, i)), and one trial's random tape is consumed in a fixed
@@ -9,7 +10,9 @@ evaluates all requested pairs on the same draws: geometry, channels,
 nulling directions, and the quantization uniforms.  Estimates therefore
 pair exactly across policies and budgets (common random numbers), a
 multi-pair collection equals the single-pair collections column for
-column, and results are bit-identical for any worker count.
+column, and results are bit-identical for any worker count.  A caller
+collects once and hands each estimator the SINR columns it reads:
+`sinr_ic`, `sinr_nic`, or `lf(policy, b_tot)` of a `TrialArrays`.
 
 Every beamformer of a trial nulls the same directions, so the trial
 factors their basis once (`nulling_basis`, one QR and the collinearity
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, feedback, geometry
-from .beamforming import Beamformer, nulling_basis, zf_null_beamformer
+from .beamforming import nulling_basis, zf_null_beamformer
 from .channel import complex_gaussian, path_loss, sample_channels
 from .errors import RankDeficientError
 
@@ -155,8 +158,8 @@ def _trial_from_cluster(cfg, cluster, rng, pairs, e_iout, rejections):
                 null_raw / np.linalg.norm(null_raw, axis=1, keepdims=True))
             f0 = zf_null_beamformer(h_dir, basis)
         else:
-            f0 = Beamformer(f=h_dir)
-        des_ic = abs(chans.h0.conj() @ f0.f) ** 2 / l0
+            f0 = h_dir
+        des_ic = abs(chans.h0.conj() @ f0) ** 2 / l0
         sinr_ic = des_ic / (i_out + inv_snr)
     else:
         sinr_ic = sinr_nic
@@ -177,11 +180,8 @@ def _trial_from_cluster(cfg, cluster, rng, pairs, e_iout, rejections):
                 h_hat = h_dir
             else:
                 h_hat = w0_raw / np.linalg.norm(w0_raw)
-            if n > 0:
-                f0_hat = zf_null_beamformer(h_hat, basis)
-            else:
-                f0_hat = Beamformer(f=h_hat)
-            des_lf = abs(chans.h0.conj() @ f0_hat.f) ** 2 / l0
+            f0_hat = zf_null_beamformer(h_hat, basis) if n > 0 else h_hat
+            des_lf = abs(chans.h0.conj() @ f0_hat) ** 2 / l0
 
             i_res = 0.0
             for ell in range(n):
@@ -261,8 +261,7 @@ def _run_range_star(args):
 def collect_trials(cfg, pairs=()):
     """Run cfg.trials independent trials, each evaluating every
     limited-feedback (policy, b_tot) pair in `pairs` on the same draws;
-    deterministic for a fixed seed regardless of CLUSTER_SIM_THREADS.
-    cfg.b_tot plays no part: each pair carries its own budget."""
+    deterministic for a fixed seed regardless of CLUSTER_SIM_THREADS."""
     pairs = _check_pairs(pairs)
     e_iout = None
     if _needs_e_iout(pairs):
@@ -292,44 +291,18 @@ def collect_trials(cfg, pairs=()):
     )
 
 
-def _pairs_for(cfg, policy):
-    return () if policy is None else ((policy, cfg.b_tot),)
-
-
-def _series(arrays, cfg, strategy, policy):
-    if strategy == "icin":
-        return arrays.sinr_ic
-    if strategy == "nic":
-        return arrays.sinr_nic
-    if strategy == "lf":
-        if policy is None:
-            raise ValueError("limited-feedback series needs a policy")
-        return arrays.lf(policy, cfg.b_tot)
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def estimate_coverage(cfg, t_grid, strategy="icin", policy=None,
-                      arrays=None):
-    """Coverage estimates (one per threshold, linear scale).  The
-    limited-feedback series is the (policy, cfg.b_tot) column."""
-    if arrays is None:
-        arrays = collect_trials(cfg, _pairs_for(cfg, policy))
-    sinr = _series(arrays, cfg, strategy, policy)
+def estimate_coverage(sinr, t_grid):
+    """Coverage estimates of one SINR column, one per threshold (linear
+    scale)."""
     return [_mean_ci(sinr >= t) for t in np.asarray(t_grid, dtype=float)]
 
 
-def estimate_rate(cfg, strategy="icin", policy=None, arrays=None):
-    if arrays is None:
-        arrays = collect_trials(cfg, _pairs_for(cfg, policy))
-    sinr = _series(arrays, cfg, strategy, policy)
+def estimate_rate(sinr):
+    """Average rate log2(1 + SINR) of one SINR column."""
     return _mean_ci(np.log2(1.0 + sinr))
 
 
-def estimate_rate_loss(cfg, policy, arrays=None):
-    """Mean rate loss of limited feedback at (policy, cfg.b_tot) vs perfect
-    CSI, paired per trial."""
-    if arrays is None:
-        arrays = collect_trials(cfg, _pairs_for(cfg, policy))
-    lf = arrays.lf(policy, cfg.b_tot)
-    loss = np.log2(1.0 + arrays.sinr_ic) - np.log2(1.0 + lf)
-    return _mean_ci(loss)
+def estimate_rate_loss(sinr_ic, sinr_lf):
+    """Mean rate loss of a limited-feedback column against the perfect-CSI
+    column of the same trials, paired per trial."""
+    return _mean_ci(np.log2(1.0 + sinr_ic) - np.log2(1.0 + sinr_lf))

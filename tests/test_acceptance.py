@@ -14,7 +14,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,7 +57,7 @@ def test_acceptance_01_zf_exactness():
         g = complex_gaussian(rng, n, n_t)
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         h = complex_gaussian(rng, n_t)
-        f = zf_null_beamformer(h / np.linalg.norm(h), nulling_basis(g)).f
+        f = zf_null_beamformer(h / np.linalg.norm(h), nulling_basis(g))
         worst_dot = max(worst_dot, float(np.abs(g.conj() @ f).max()))
         worst_norm = max(worst_norm, abs(np.linalg.norm(f) - 1.0))
     dt = time.time() - t0
@@ -113,7 +112,7 @@ def test_acceptance_04_coverage_envelope(d7_arrays):
     cfg, arrays = d7_arrays
     t_dbs = np.arange(-10.0, 21.0, 2.0)
     ts = 10.0 ** (t_dbs / 10.0)
-    ests = montecarlo.estimate_coverage(cfg, ts, "icin", arrays=arrays)
+    ests = montecarlo.estimate_coverage(arrays.sinr_ic, ts)
     worst = 0.0
     bound_ok = True
     for t, est in zip(ts, ests):
@@ -200,10 +199,11 @@ def rate_loss_sweep():
         base, [(p, b) for b in budgets for p in ("equal-bias", "adaptive")])
     rows = []
     for b_tot in budgets:
-        cfg = replace(base, b_tot=b_tot)
-        eq = montecarlo.estimate_rate_loss(cfg, "equal-bias", arrays=arrays)
-        ad = montecarlo.estimate_rate_loss(cfg, "adaptive", arrays=arrays)
-        ub = analysis.rate_loss_ub_equal(cfg)
+        eq = montecarlo.estimate_rate_loss(arrays.sinr_ic,
+                                           arrays.lf("equal-bias", b_tot))
+        ad = montecarlo.estimate_rate_loss(arrays.sinr_ic,
+                                           arrays.lf("adaptive", b_tot))
+        ub = analysis.rate_loss_ub_equal(base, b_tot)
         rows.append((b_tot, ub, eq, ad))
     return rows
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -338,16 +337,13 @@ def test_log_iout_plus_matches_its_own_law():
 # ---------------------------------------------------------------------------
 
 def test_rate_loss_equal_decreasing_in_btot():
-    vals = []
-    for b in (10, 20, 50, 100, 400):
-        cfg = cfg_plateau(b_tot=b)
-        vals.append(analysis.rate_loss_ub_equal(cfg))
+    cfg = cfg_plateau()
+    vals = [analysis.rate_loss_ub_equal(cfg, b) for b in (10, 20, 50, 100, 400)]
     assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
     assert vals[-1] < vals[0]
     # large budgets approach the Jensen floor, the bound with both RVQ terms
     # gone.  Each term decays as 2^(-b/((N+1)(N+d-1))), so at b_lim the
     # slowest one (N = N_max) is below double resolution, 2^-53.
-    cfg = cfg_plateau()
     d = cfg.antenna_mode.d_nt
     floor = (-analysis.expected_log2_iout_plus(cfg.lambda_b, cfg.lambda_c,
                                                cfg.alpha, 0.0)
@@ -356,29 +352,33 @@ def test_rate_loss_equal_decreasing_in_btot():
     assert all(v >= floor - 1e-9 for v in vals)
     n_max = len(analysis.pmf_weights(cfg.ratio)) - 1
     b_lim = 53 * (n_max + 1) * (n_max + d - 1)
-    v_lim = analysis.rate_loss_ub_equal(cfg_plateau(b_tot=b_lim))
+    v_lim = analysis.rate_loss_ub_equal(cfg, b_lim)
     assert abs(v_lim - floor) < 0.05 * max(abs(floor), 0.1)
 
 
 def test_rate_loss_equal_increasing_in_ratio():
-    a = analysis.rate_loss_ub_equal(cfg_plateau(ratio=2.0, b_tot=50))
-    b = analysis.rate_loss_ub_equal(cfg_plateau(ratio=4.0, b_tot=50))
-    c = analysis.rate_loss_ub_equal(cfg_plateau(ratio=6.0, b_tot=50))
+    a = analysis.rate_loss_ub_equal(cfg_plateau(ratio=2.0), 50)
+    b = analysis.rate_loss_ub_equal(cfg_plateau(ratio=4.0), 50)
+    c = analysis.rate_loss_ub_equal(cfg_plateau(ratio=6.0), 50)
     assert a < b < c
 
 
 def test_rate_loss_adaptive_realization_modes():
-    cfg = cfg_plateau(b_tot=30)
+    cfg = cfg_plateau()
     e_iout = analysis.expected_iout(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
+    e_log = analysis.expected_log2_iout_plus(cfg.lambda_b, cfg.lambda_c,
+                                             cfg.alpha, cfg.inv_snr)
     r = np.array([0.4, 0.9, 1.8])
-    loss, alloc = analysis.rate_loss_adaptive_realization(3, r, cfg, e_iout)
+    loss, alloc = analysis.rate_loss_adaptive_realization(3, r, cfg, 30,
+                                                          e_iout, e_log)
     assert np.isfinite(loss)
     assert alloc.b0 + alloc.b_intra.sum() == 30
 
     # symmetric two-interferer instance at cell-scale distance: both in the
     # effective set with near-equal bits
     r2 = np.array([0.5, 0.5])
-    loss2, alloc2 = analysis.rate_loss_adaptive_realization(2, r2, cfg, e_iout)
+    loss2, alloc2 = analysis.rate_loss_adaptive_realization(2, r2, cfg, 30,
+                                                            e_iout, e_log)
     assert len(alloc2.effective_set) == 2
     assert abs(alloc2.b_intra[0] - alloc2.b_intra[1]) <= 1
     assert np.isfinite(loss2)
@@ -391,20 +391,19 @@ def test_rate_loss_bounds_hold_in_sharp_regime():
     budgets = (20, 40)
     arrays = montecarlo.collect_trials(
         cfg, [(p, b) for b in budgets for p in ("equal-bias", "adaptive")])
-    adaptive = analysis.rate_loss_ub_adaptive(cfg, geometry_trials=400,
-                                              b_tots=budgets)
+    adaptive = analysis.rate_loss_ub_adaptive(cfg, budgets, geometry_trials=400)
     for b_tot, ad_ub in zip(budgets, adaptive):
-        cfg_b = replace(cfg, b_tot=b_tot)
-        eq_ub = analysis.rate_loss_ub_equal(cfg_b)
+        eq_ub = analysis.rate_loss_ub_equal(cfg, b_tot)
         for policy, ub in (("equal-bias", eq_ub), ("adaptive", ad_ub)):
-            est = montecarlo.estimate_rate_loss(cfg_b, policy, arrays=arrays)
+            est = montecarlo.estimate_rate_loss(arrays.sinr_ic,
+                                                arrays.lf(policy, b_tot))
             assert est.mean - est.ci95_halfwidth <= ub < 8.0, (b_tot, policy, ub, est)
 
 
 def test_adaptive_bound_below_equal_bound_on_average():
-    cfg = cfg_plateau(b_tot=30, seed=2)
-    eq = analysis.rate_loss_ub_equal(cfg)
-    ad = analysis.rate_loss_ub_adaptive(cfg, geometry_trials=400)
+    cfg = cfg_plateau(seed=2)
+    eq = analysis.rate_loss_ub_equal(cfg, 30)
+    (ad,) = analysis.rate_loss_ub_adaptive(cfg, [30], geometry_trials=400)
     assert ad <= eq + 0.05
 
 
@@ -459,7 +458,8 @@ def test_thresholded_coverage_below_monte_carlo(n_t, ratio):
     # thresholding policy
     cfg = SimConfig(lambda_b=LAM, lambda_c=LAM / ratio, alpha=4.0, snr_db=100.0,
                     antenna_mode=FixedNt(n_t), trials=2000, seed=41)
-    est = montecarlo.estimate_coverage(cfg, [1.0], "icin")[0]
+    est = montecarlo.estimate_coverage(montecarlo.collect_trials(cfg).sinr_ic,
+                                       [1.0])[0]
     lb = analysis.coverage_lb_ic(cfg, 1.0)
     assert lb <= est.mean + 2.0 * est.ci95_halfwidth, (lb, est)
 
@@ -494,11 +494,10 @@ def test_circumscribed_nodes_match_scalar_root():
 
 def test_rate_loss_ub_adaptive_grid_equals_scalar_calls():
     # one geometry set serves the whole budget grid, value for value
-    cfg = cfg_plateau(b_tot=30, seed=3)
+    cfg = cfg_plateau(seed=3)
     budgets = (8, 30, 55)
-    grid = analysis.rate_loss_ub_adaptive(cfg, geometry_trials=120, b_tots=budgets)
-    scalar = [analysis.rate_loss_ub_adaptive(replace(cfg, b_tot=b),
-                                             geometry_trials=120)
+    grid = analysis.rate_loss_ub_adaptive(cfg, budgets, geometry_trials=120)
+    scalar = [analysis.rate_loss_ub_adaptive(cfg, [b], geometry_trials=120)[0]
               for b in budgets]
     assert grid == scalar
 

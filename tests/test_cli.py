@@ -152,20 +152,26 @@ def test_determinism_across_thread_counts(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_metadata_round_trip(tmp_path):
+@pytest.mark.parametrize("args,btot", [
+    pytest.param(["coverage", "--ratio", "2", "--dnt", "3", "--t-db", "0:5:10"],
+                 "50", id="coverage"),
+    pytest.param(["coverage", "--strategy", "icin,lf-adaptive", "--btot", "30",
+                  "--t-db", "0:5:10"], "30", id="coverage-lf-adaptive"),
+    pytest.param(["rate-loss", "--btot", "17", "--btot-grid", "12,24"], "17",
+                 id="rate-loss"),
+])
+def test_metadata_round_trip(tmp_path, args, btot):
+    # replaying a result file through --config rewrites it byte for byte,
+    # scalar bit budget included
     first = tmp_path / "a.csv"
-    r = run_cli(["coverage", "--ratio", "2", "--dnt", "3", "--t-db", "0:5:10",
-                 "--mode", "mc", "--trials", "64", "--seed", "5",
+    r = run_cli([*args, "--mode", "mc", "--trials", "64", "--seed", "5",
                  "--out", str(first)])
     assert r.returncode == 0, r.stderr
+    assert read_table(first)[0]["btot"] == btot
     second = tmp_path / "b.csv"
-    r = run_cli(["coverage", "--config", str(first), "--out", str(second)])
+    r = run_cli([args[0], "--config", str(first), "--out", str(second)])
     assert r.returncode == 0, r.stderr
-    a = first.read_text().splitlines()
-    b = second.read_text().splitlines()
-    # identical numeric payload (header + rows); metadata may reorder
-    assert [x for x in a if not x.startswith("#")] == \
-        [x for x in b if not x.startswith("#")]
+    assert second.read_text() == first.read_text()
 
 
 def test_mode_both_rows_consistent(tmp_path):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from clusternull import feedback, specfun
+from clusternull import specfun
 from clusternull.channel import complex_gaussian
-from clusternull.errors import BudgetExceededError, DomainError
+from clusternull.errors import DomainError
 from clusternull.feedback import (
     Regime,
     adaptive_allocation,
@@ -15,7 +15,6 @@ from clusternull.feedback import (
     rvq_mean_interference,
     rvq_mean_interference_stirling,
     rvq_mean_sin2,
-    rvq_quantize,
     sample_rvq_sin2,
 )
 
@@ -23,6 +22,15 @@ from clusternull.feedback import (
 def iso_dir(rng, n_t):
     v = complex_gaussian(rng, n_t)
     return v / np.linalg.norm(v)
+
+
+def explicit_rvq(v_dir, bits, rng):
+    """Explicit RVQ: the best of 2^bits isotropic unit codewords drawn from
+    rng, maximizing |v_dir* c| with ties to the lowest index.  The oracle of
+    the exact-law sampler."""
+    book = rng.standard_normal((2 ** bits, 2 * len(v_dir))).view(np.complex128)
+    book /= np.linalg.norm(book, axis=1, keepdims=True)
+    return book[int(np.argmax(np.abs(book @ v_dir.conj())))]
 
 
 # ---------------------------------------------------------------------------
@@ -34,7 +42,7 @@ def test_rvq_b1_is_argmax():
     for _ in range(50):
         v = iso_dir(rng, 3)
         probe = np.random.default_rng(7)
-        c = rvq_quantize(v, 1, probe)
+        c = explicit_rvq(v, 1, probe)
         again = np.random.default_rng(7)
         book = (again.standard_normal((2, 6))).view(np.complex128)
         book /= np.linalg.norm(book, axis=1, keepdims=True)
@@ -48,7 +56,7 @@ def test_rvq_mean_distortion_matches_beta_formula():
     sin2 = np.empty(n_draws)
     for i in range(n_draws):
         v = iso_dir(rng, n_t)
-        c = rvq_quantize(v, bits, rng)
+        c = explicit_rvq(v, bits, rng)
         sin2[i] = 1.0 - abs(v.conj() @ c) ** 2
     want = rvq_mean_sin2(n_t, bits)
     se = sin2.std() / math.sqrt(n_draws)
@@ -63,16 +71,8 @@ def test_rvq_self_quantization():
     # build the same codebook the quantizer will draw, pick one codeword
     book = book_rng.standard_normal((4, 8)).view(np.complex128)
     book /= np.linalg.norm(book, axis=1, keepdims=True)
-    c = rvq_quantize(book[2], 2, np.random.default_rng(5))
+    c = explicit_rvq(book[2], 2, np.random.default_rng(5))
     assert abs(abs(book[2].conj() @ c) - 1.0) < 1e-12
-
-
-def test_rvq_budget_cap():
-    rng = np.random.default_rng(3)
-    with pytest.raises(BudgetExceededError):
-        rvq_quantize(iso_dir(rng, 2), feedback.B_MAX + 1, rng)
-    with pytest.raises(DomainError):
-        rvq_quantize(iso_dir(rng, 2), 0, rng)
 
 
 def test_exact_law_sampler_matches_explicit_rvq():
@@ -83,7 +83,7 @@ def test_exact_law_sampler_matches_explicit_rvq():
         explicit = np.empty(1500)
         for i in range(explicit.size):
             v = iso_dir(rng, n_t)
-            c = rvq_quantize(v, bits, rng)
+            c = explicit_rvq(v, bits, rng)
             explicit[i] = 1.0 - abs(v.conj() @ c) ** 2
         fast = sample_rvq_sin2(n_t, bits, rng.random(20_000))
         d = stats.ks_2samp(explicit, fast).statistic
@@ -223,6 +223,13 @@ def test_adaptive_allocation_budget_and_nonnegativity():
         assert a.b0 >= 0 and np.all(a.b_intra >= 0)
         assert a.b0 + a.b_intra.sum() == b_tot
         assert np.all(a.b_intra[[i for i in range(n) if i not in a.effective_set]] == 0)
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_adaptive_allocation_rejects_empty_budget(n):
+    r = np.linspace(1.0, 2.0, n)
+    with pytest.raises(DomainError):
+        adaptive_allocation(r, 0, n + 4, 4.0, e_iout=0.5, inv_snr=0.1)
 
 
 def test_adaptive_stronger_interferers_get_more_bits():

@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from clusternull.geometry import FixedNt, FollowN, SimConfig
 
 LAM = 1e-4
 SNR = 100.0
+B_TOT = 50
 
 
 def cfg_make(ratio=3.0, mode=None, trials=200, seed=0, **kw):
@@ -24,15 +24,15 @@ def test_trial_basic_invariants():
     cfg = cfg_make(trials=1)
     for i in range(50):
         rng = np.random.default_rng((3, i))
-        o = montecarlo.run_trial(cfg, rng, (("equal-bias", cfg.b_tot),))
+        o = montecarlo.run_trial(cfg, rng, (("equal-bias", B_TOT),))
         assert o.sinr_ic >= 0.0 and o.sinr_nic >= 0.0
         assert len(o.sinr_lf) == 1
         # quantization only hurts, exactly, per trial
         assert o.sinr_lf[0] <= o.sinr_ic * (1.0 + 1e-12)
         # the pair's equal split (remainder to the desired channel) spends
         # the whole budget
-        assert feedback.equal_allocation(cfg.b_tot, o.n_interferers,
-                                         True).total == cfg.b_tot
+        assert feedback.equal_allocation(B_TOT, o.n_interferers,
+                                         True).total == B_TOT
 
 
 def test_lf_converges_to_perfect_csi_with_many_bits():
@@ -86,8 +86,8 @@ def test_one_nulling_basis_per_trial(monkeypatch):
 
 def test_reproducibility_and_thread_independence():
     cfg = cfg_make(trials=64, seed=9)
-    a = montecarlo.collect_trials(cfg, (("adaptive", cfg.b_tot),))
-    b = montecarlo.collect_trials(cfg, (("adaptive", cfg.b_tot),))
+    a = montecarlo.collect_trials(cfg, (("adaptive", B_TOT),))
+    b = montecarlo.collect_trials(cfg, (("adaptive", B_TOT),))
     assert np.array_equal(a.sinr_ic, b.sinr_ic)
     assert np.array_equal(a.sinr_lf, b.sinr_lf)
 
@@ -98,7 +98,7 @@ def test_reproducibility_and_thread_independence():
         "from clusternull.geometry import SimConfig, FollowN;"
         f"cfg = SimConfig(lambda_b={LAM}, lambda_c={LAM}/3, alpha=4.0, snr_db={SNR},"
         "antenna_mode=FollowN(4), trials=64, seed=9);"
-        "a = montecarlo.collect_trials(cfg, (('adaptive', cfg.b_tot),));"
+        f"a = montecarlo.collect_trials(cfg, (('adaptive', {B_TOT}),));"
         "print(repr(a.sinr_ic.sum()), repr(np.nansum(a.sinr_lf)))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env,
@@ -111,8 +111,8 @@ def test_reproducibility_and_thread_independence():
 def test_policy_runs_share_randomness():
     # the trial tape is policy-independent: perfect-CSI series identical
     cfg = cfg_make(trials=40, seed=4)
-    a = montecarlo.collect_trials(cfg, (("equal-bias", cfg.b_tot),))
-    b = montecarlo.collect_trials(cfg, (("adaptive", cfg.b_tot),))
+    a = montecarlo.collect_trials(cfg, (("equal-bias", B_TOT),))
+    b = montecarlo.collect_trials(cfg, (("adaptive", B_TOT),))
     assert np.array_equal(a.sinr_ic, b.sinr_ic)
     assert np.array_equal(a.sinr_nic, b.sinr_nic)
 
@@ -121,7 +121,7 @@ def test_estimates_and_coverage_monotone():
     cfg = cfg_make(trials=400, seed=1)
     arrays = montecarlo.collect_trials(cfg)
     ts = [10.0 ** (t / 10.0) for t in (-60.0, -5.0, 0.0, 5.0, 20.0)]
-    ests = montecarlo.estimate_coverage(cfg, ts, "icin", arrays=arrays)
+    ests = montecarlo.estimate_coverage(arrays.sinr_ic, ts)
     assert ests[0].mean == pytest.approx(1.0)  # T = -60 dB: covered
     means = [e.mean for e in ests]
     assert all(a >= b for a, b in zip(means, means[1:]))
@@ -133,8 +133,10 @@ def test_estimates_and_coverage_monotone():
 
 
 def test_rate_loss_positive_and_paired():
-    cfg = cfg_make(trials=300, seed=8, b_tot=20)
-    est = montecarlo.estimate_rate_loss(cfg, "equal-bias")
+    cfg = cfg_make(trials=300, seed=8)
+    arrays = montecarlo.collect_trials(cfg, (("equal-bias", 20),))
+    est = montecarlo.estimate_rate_loss(arrays.sinr_ic,
+                                        arrays.lf("equal-bias", 20))
     assert est.mean > 0.0
     assert est.trials == 300
 
@@ -156,9 +158,9 @@ def test_residual_power_generator_mean_matches_beta_closed_form():
 
 
 def test_adaptive_policy_uses_cached_expected_iout():
-    cfg = cfg_make(trials=16, seed=6, b_tot=24)
-    arrays = montecarlo.collect_trials(cfg, (("adaptive", cfg.b_tot),))
-    lf = arrays.lf("adaptive", cfg.b_tot)
+    cfg = cfg_make(trials=16, seed=6)
+    arrays = montecarlo.collect_trials(cfg, (("adaptive", 24),))
+    lf = arrays.lf("adaptive", 24)
     assert np.all(np.isfinite(lf))
     assert np.all(lf <= arrays.sinr_ic * (1.0 + 1e-12))
 
@@ -168,7 +170,7 @@ def test_adaptive_policy_uses_cached_expected_iout():
 def test_multi_pair_collection_matches_single_pair_runs(monkeypatch, threads,
                                                         mode, ratio):
     # one pass over every (policy, b_tot) pair equals separate single-pair
-    # collections at replace(cfg, b_tot=b), column for column and bit for bit;
+    # collections, column for column and bit for bit;
     # 70 trials split into blocks of 64 and 6 so a second worker runs
     monkeypatch.setenv("CLUSTER_SIM_THREADS", threads)
     cfg = cfg_make(ratio=ratio, mode=mode, trials=70, seed=21)
@@ -176,14 +178,13 @@ def test_multi_pair_collection_matches_single_pair_runs(monkeypatch, threads,
     multi = montecarlo.collect_trials(cfg, pairs)
     assert multi.sinr_lf.shape == (70, len(pairs))
     for policy, b_tot in pairs:
-        cfg_b = replace(cfg, b_tot=b_tot)
-        one = montecarlo.collect_trials(cfg_b, ((policy, b_tot),))
+        one = montecarlo.collect_trials(cfg, ((policy, b_tot),))
         assert np.array_equal(multi.lf(policy, b_tot), one.sinr_lf[:, 0])
         assert np.array_equal(multi.sinr_ic, one.sinr_ic)
         assert np.array_equal(multi.sinr_nic, one.sinr_nic)
         assert np.array_equal(multi.n_interferers, one.n_interferers)
         assert multi.rejections == one.rejections
-        assert (montecarlo.estimate_rate_loss(cfg_b, policy, arrays=multi)
-                == montecarlo.estimate_rate_loss(cfg_b, policy))
+        assert (montecarlo.estimate_rate_loss(multi.sinr_ic, multi.lf(policy, b_tot))
+                == montecarlo.estimate_rate_loss(one.sinr_ic, one.sinr_lf[:, 0]))
     with pytest.raises(ValueError):
         multi.lf("adaptive", 25)
