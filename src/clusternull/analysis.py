@@ -28,6 +28,11 @@ densities are integrated by mapping each through its own CDF, so the
 outer quadratures run on the unit square/cube with smooth integrands.
 The reported error covers the inner per-node evaluation only (a round-off
 bound); the outer radius quadrature's error is not included.
+
+The adaptive rate-loss bound is the one value averaged over deployment
+draws rather than integrated: the draws that share an interferer count
+are evaluated as one batch, the losses are added in draw order, and the
+average carries its standard error.
 """
 
 import math
@@ -570,64 +575,81 @@ def rate_loss_ub_equal(cfg, b_tot, bias=True):
             + math.log2(cfg.inv_snr + e_iout + term_res * e_near))
 
 
-def rate_loss_adaptive_realization(n, r_intra, cfg, b_tot, e_iout, e_log):
+def rate_loss_adaptive_rows(rows, cfg, b_tot, e_iout, e_log):
     """Per-realization rate-loss bound at the adaptive integer allocation
-    of b_tot bits.
+    of b_tot bits, for each row of `rows`: the ascending intra-cluster
+    distances of realizations that share one interferer count n, shape
+    (m, n).
 
-    Returns (loss, allocation).  The low-/high-SNR form is selected by the
-    allocation's regime flag.  `e_iout` is E{I_out} and `e_log` is
-    E{log2(I_out + 1/SNR)}, both computed once per configuration.
+    Returns the m losses.  The low-/high-SNR form is selected by each row's
+    regime flag.  `e_iout` is E{I_out} and `e_log` is
+    E{log2(I_out + 1/SNR)}, both computed once per configuration.  The
+    closed form runs per row on Python floats, whose powers and logarithms
+    are the C library's, so a row's loss does not depend on its batch.
     """
-    d = _require_follow(cfg)
-    n_t = n + d
-    alloc = feedback.adaptive_allocation(
-        r_intra, b_tot, n_t, cfg.alpha, e_iout, cfg.inv_snr)
-    floor = e_iout + cfg.inv_snr
-
+    m, n = rows.shape
+    n_t = n + _require_follow(cfg)
     if n_t <= 1:
-        return 0.0, alloc
+        return np.zeros(m)
+    floor = e_iout + cfg.inv_snr
+    b0, size, residual = feedback.adaptive_decision(
+        rows, b_tot, n_t, cfg.alpha, e_iout, cfg.inv_snr)
     g1 = math.exp(specfun.ln_gamma(n_t / (n_t - 1.0)))
     g2 = math.exp(specfun.ln_gamma((2.0 * n_t - 1.0) / (n_t - 1.0)))
-    loss = _LOG2E * g1 * 2.0 ** (-alloc.b0 / (n_t - 1.0)) - e_log
+    gm = np.zeros(m)                    # product term over each effective set
+    for k in set(size) - {0}:
+        sel = np.equal(size, k)
+        gm[sel] = ((1.0 + rows[sel, :k]) ** (-cfg.alpha / k)).prod(axis=1)
 
-    kset = alloc.effective_set
-    k = len(kset)
-    if k == 0:
-        return loss + math.log2(floor), alloc
-    gm = float(np.prod((1.0 + np.asarray(r_intra)[kset]) ** (-cfg.alpha / k)))
-    if alloc.regime is feedback.Regime.DOMINANT_RESIDUAL:
-        loss += (math.log2(g2 * k * gm)
-                 + (alloc.b0 - b_tot) / (k * (n_t - 1.0)))
-    else:
-        b_i = b_tot - alloc.b0
-        loss += (math.log2(floor)
-                 + _LOG2E * g2 / floor * k * 2.0 ** (-b_i / (k * (n_t - 1.0))) * gm)
-    return loss, alloc
+    losses = []
+    for b0_i, k, res, gm_i in zip(b0, size, residual, gm.tolist()):
+        loss = _LOG2E * g1 * 2.0 ** (-b0_i / (n_t - 1.0)) - e_log
+        if k == 0:
+            loss += math.log2(floor)
+        elif res:
+            loss += (math.log2(g2 * k * gm_i)
+                     + (b0_i - b_tot) / (k * (n_t - 1.0)))
+        else:
+            b_i = b_tot - b0_i
+            loss += (math.log2(floor)
+                     + _LOG2E * g2 / floor * k * 2.0 ** (-b_i / (k * (n_t - 1.0)))
+                     * gm_i)
+        losses.append(loss)
+    return np.array(losses)
 
 
 def rate_loss_ub_adaptive(cfg, b_tots, geometry_trials=2000):
     """Network-average adaptive rate-loss bound: Monte Carlo over deployment
     geometry with analytical channel terms.
 
-    Returns a list with the bound at each budget of `b_tots`.  The geometry
-    stream (cfg.seed, 104729, i) does not depend on the budget, so one set
-    of draws serves the grid.
+    Returns (values, errors): at each budget of `b_tots`, the mean loss over
+    the draws and its standard error.  The geometry stream
+    (cfg.seed, 104729, i) does not depend on the budget, so one set of
+    draws serves the grid; draws with one interferer count are evaluated
+    together.
     """
     _require_follow(cfg)
     budgets = [int(b) for b in b_tots]
     e_iout = expected_iout(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
     e_log = expected_log2_iout_plus(cfg.lambda_b, cfg.lambda_c, cfg.alpha,
                                     cfg.inv_snr)
-    totals = [0.0] * len(budgets)
+    by_count = {}                       # n -> (draw indices, distance rows)
     for i in range(geometry_trials):
         rng = np.random.default_rng((cfg.seed, 104729, i))
         cluster, _ = geometry.sample_typical_cluster(cfg, rng)
-        for k, b_tot in enumerate(budgets):
-            loss, _ = rate_loss_adaptive_realization(
-                cluster.n_interferers, cluster.intra_dist, cfg, b_tot,
-                e_iout, e_log)
-            totals[k] += loss
-    return [total / geometry_trials for total in totals]
+        draws, rows = by_count.setdefault(cluster.n_interferers, ([], []))
+        draws.append(i)
+        rows.append(cluster.intra_dist)
+    losses = np.empty((len(budgets), geometry_trials))
+    for n, (draws, rows) in by_count.items():
+        stacked = np.array(rows).reshape(len(draws), n)
+        for j, b_tot in enumerate(budgets):
+            losses[j, draws] = rate_loss_adaptive_rows(stacked, cfg, b_tot,
+                                                       e_iout, e_log)
+    # a running sum adds in draw order (np.sum would add pairwise)
+    values = losses.cumsum(axis=1)[:, -1] / geometry_trials
+    errors = losses.std(axis=1, ddof=1) / math.sqrt(geometry_trials)
+    return values.tolist(), errors.tolist()
 
 
 # ---------------------------------------------------------------------------

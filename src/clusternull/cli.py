@@ -153,7 +153,6 @@ def _build_spec(args, file_cfg):
     else:
         mode_ant = FollowN(int(dnt) if dnt is not None else 4)
     b_tot = int(pick("btot", int))
-    _check_budget(b_tot)
     cfg = SimConfig(
         lambda_b=lambda_b,
         lambda_c=lambda_b / ratio,
@@ -171,6 +170,8 @@ def _build_spec(args, file_cfg):
         raise ValueError(f"mode must be mc|analytic|both, got {mode!r}")
     out = getattr(args, "out", None) or file_cfg.get("output", "-")
 
+    if command in ("coverage", "rate", "sweep"):
+        _check_budget(b_tot)          # the budget of every lf-* series
     if command == "coverage":
         grid_text = getattr(args, "t_db", None) or file_cfg.get("t_db", "-10:2:20")
         grid = parse_range(grid_text)
@@ -300,7 +301,7 @@ def run(spec):
             arrays = montecarlo.collect_trials(
                 cfg, [(s, b) for b in budgets for s in spec.series])
         if want_an and "adaptive" in spec.series:
-            adaptive_ub = analysis.rate_loss_ub_adaptive(cfg, budgets)
+            adaptive_ub, adaptive_err = analysis.rate_loss_ub_adaptive(cfg, budgets)
         for k, b_tot in enumerate(budgets):
             row = [_fmt(b_tot), _fmt(b_tot)]
             for s in spec.series:
@@ -311,11 +312,11 @@ def run(spec):
                     mc_mean, mc_ci = est.mean, est.ci95_halfwidth
                 if want_an:
                     if s == "adaptive":
-                        an_val = adaptive_ub[k]
+                        an_val, an_err = adaptive_ub[k], adaptive_err[k]
                     else:
                         an_val = analysis.rate_loss_ub_equal(
                             cfg, b_tot, bias=(s == "equal-bias"))
-                    an_err = math.nan
+                        an_err = math.nan
                 row.extend([_fmt(mc_mean), _fmt(mc_ci), _fmt(an_val), _fmt(an_err)])
             rows.append(row)
         return header, rows, _metadata(spec)

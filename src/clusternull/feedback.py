@@ -1,6 +1,13 @@
 """Limited-feedback machinery: the exact law of RVQ (random vector
 quantization) distortion, its means, and equal/adaptive partitioning of the
-feedback budget across channels."""
+feedback budget across channels.
+
+The adaptive rule has one implementation, `adaptive_decision`, over a
+batch of same-size interferer-distance rows; `adaptive_allocation` is its
+one-row case plus the integer interferer shares.  Path losses and their
+prefix sums are array operations over the rows, and the closed forms run
+per row on Python floats, so a row's result does not depend on the batch
+it is in."""
 
 import enum
 import math
@@ -91,23 +98,43 @@ def equal_allocation(b_tot, n, bias=True):
 
 
 def effective_set(r_intra, b_i, n_t, alpha):
-    """Largest prefix (ascending distance) receiving positive bits.
-
-    The positivity condition need only be checked for the weakest member
-    of the candidate prefix; the left side is monotone in the distance.
-    """
+    """Largest prefix (ascending distance) receiving positive bits."""
     r_intra = np.asarray(r_intra, dtype=float)
-    n = len(r_intra)
-    if b_i <= 0 or n == 0:
+    if b_i <= 0 or len(r_intra) == 0:
         return np.arange(0)
     if n_t < 2:
         raise DomainError("effective_set needs n_t >= 2")
-    log2_pl = alpha * np.log2(1.0 + r_intra)   # -log2 of (1+r)^(-alpha)
-    for k in range(n, 0, -1):
-        lhs = log2_pl[k - 1] - log2_pl[:k].mean()
-        if lhs < b_i / (k * (n_t - 1.0)):
-            return np.arange(k)
-    return np.arange(0)
+    log2_pl = alpha * np.log2(1.0 + r_intra[None, :])
+    return np.arange(_effective_sizes(log2_pl, [b_i], n_t, {})[0])
+
+
+def _effective_sizes(log2_pl, b_i, n_t, lhs):
+    """Effective-set size of each row of `log2_pl` (-log2 of the ascending
+    path losses) at the interferer budgets `b_i`, one per row.
+
+    The positivity condition need only be checked for the weakest member
+    of the candidate prefix; the left side is monotone in the distance.
+    Prefixes are tried from the longest down, each one's left sides for
+    every row at once, until every row has found its prefix or been left
+    empty.  `lhs` caches the left sides by prefix length, so that calls on
+    one `log2_pl` share them.
+    """
+    sizes = [0] * len(b_i)
+    todo = [i for i, b in enumerate(b_i) if b > 0]
+    k = log2_pl.shape[1]
+    while todo and k:
+        if k not in lhs:
+            lhs[k] = (log2_pl[:, k - 1]
+                      - np.add.reduce(log2_pl[:, :k], axis=1) / k).tolist()
+        lhs_k, scale = lhs[k], k * (n_t - 1.0)
+        left = []
+        for i in todo:
+            if lhs_k[i] < b_i[i] / scale:
+                sizes[i] = k
+            else:
+                left.append(i)
+        todo, k = left, k - 1
+    return sizes
 
 
 def _integerize_largest_remainder(real_bits, total):
@@ -125,19 +152,75 @@ def _integerize_largest_remainder(real_bits, total):
     return floors
 
 
-def _mean_residual_per_unit(r_set, n_t, alpha, per_channel):
-    return float(np.sum((1.0 + r_set) ** (-alpha)) * per_channel)
+def adaptive_decision(rows, b_tot, n_t, alpha, e_iout, inv_snr):
+    """The adaptive rule for a batch of interferer-distance rows of one
+    size n, each ascending, at n_t >= 2 antennas.  Returns the lists
+    (b0, size, residual): the bits of the desired channel, the
+    effective-set size (the set is that many nearest interferers) and
+    whether the residual term dominates, one entry per row.  A row's
+    decisions depend on that row alone.
+
+    Fixed-point order: the residual-vs-inter-cluster regime is first tested
+    at the equal-split candidate, the dominant-inter-cluster closed form for
+    b0 is evaluated on that candidate's effective set, and the regime is
+    re-tested at the resulting allocation before committing.  A row whose
+    final effective set is empty gives the whole budget to the desired
+    channel.  Path losses and their sums run on arrays over the rows; the
+    tests and closed forms run per row on Python floats.
+    """
+    m, n = rows.shape
+    noise_floor = e_iout + inv_snr
+    b_eq = b_tot // (n + 1)
+    stir_eq = rvq_mean_interference_stirling(n_t, b_eq)
+    one_r = 1.0 + rows
+    res_eq = (np.add.reduce(one_r ** (-alpha), axis=1) * stir_eq).tolist()
+    residual = [res > noise_floor for res in res_eq]
+    log2_1r = np.log2(one_r)
+    log2_pl = alpha * log2_1r                  # -log2 of (1+r)^(-alpha)
+    lhs = {}
+    sizes = _effective_sizes(log2_pl, [n * b_eq] * m, n_t, lhs)
+
+    b0 = [b_tot] * m
+    sum_log2 = {k: np.add.reduce(log2_1r[:, :k], axis=1).tolist()
+                for k in set(sizes) - {0}}
+    gamma2 = math.exp(specfun.ln_gamma((2.0 * n_t - 1.0) / (n_t - 1.0)))
+    gamma1 = math.exp(specfun.ln_gamma(n_t / (n_t - 1.0)))
+    for i, k in enumerate(sizes):
+        if k == 0:
+            continue
+        log2_gm = -(alpha / k) * sum_log2[k][i]    # log2 of the product term
+        if residual[i]:
+            b0_real = (n_t - 1.0) * math.log2(k * gamma1)
+        else:
+            coef = (n_t - 1.0) * k / (k + 1.0)
+            b0_real = (b_tot / (k + 1.0)
+                       - coef * (math.log2(n_t * k / (n_t - 1.0)) + log2_gm)
+                       + coef * math.log2(noise_floor))
+            b0_real = min(max(b0_real, 0.0), float(b_tot))
+            # re-test the regime at the dominant-inter-cluster solution
+            res_opt = gamma2 * k * 2.0 ** (-(b_tot - b0_real) / (k * (n_t - 1.0))) \
+                * 2.0 ** log2_gm
+            if res_opt > noise_floor:
+                residual[i] = True
+                b0_real = (n_t - 1.0) * math.log2(k * gamma1)
+        b0_real = min(max(b0_real, 0.0), float(b_tot))
+        if residual[i]:
+            b0[i] = int(min(math.ceil(b0_real), b_tot))
+        else:
+            b0[i] = int(math.floor(b0_real))
+
+    sizes = _effective_sizes(log2_pl, [b_tot - b for b in b0], n_t, lhs)
+    b0 = [b if k else b_tot for b, k in zip(b0, sizes)]
+    return b0, sizes, residual
 
 
 def adaptive_allocation(r_intra, b_tot, n_t, alpha, e_iout, inv_snr):
     """Strength-aware split of b_tot (desired channel + effective interferers).
 
-    Fixed-point order: the residual-vs-inter-cluster regime is first tested
-    at the equal-split candidate, the dominant-inter-cluster closed form for
-    b0 is evaluated on that candidate's effective set, and the regime is
-    re-tested at the resulting allocation before committing.  Interferer
-    bits follow the water-filling-style closed form on the effective set,
-    rounded by largest remainder so the budget binds exactly.
+    `adaptive_decision` on the one row fixes b0, the effective set and the
+    regime.  Interferer bits follow the water-filling-style closed form on
+    the effective set, rounded by largest remainder so the budget binds
+    exactly.
     """
     r_intra = np.asarray(r_intra, dtype=float)
     n = len(r_intra)
@@ -149,56 +232,14 @@ def adaptive_allocation(r_intra, b_tot, n_t, alpha, e_iout, inv_snr):
     if np.any(np.diff(r_intra) < 0):
         raise DomainError("r_intra must be sorted ascending")
 
-    noise_floor = e_iout + inv_snr
-    b_eq = b_tot // (n + 1)
-    stir_eq = rvq_mean_interference_stirling(n_t, b_eq)
-    res_eq = _mean_residual_per_unit(r_intra, n_t, alpha, stir_eq)
-
-    k_set = effective_set(r_intra, n * b_eq, n_t, alpha)
-    if len(k_set) == 0:
-        regime = (Regime.DOMINANT_RESIDUAL if res_eq > noise_floor
-                  else Regime.DOMINANT_INTER_CLUSTER)
-        return BitAllocation(int(b_tot), np.zeros(n, dtype=int), k_set, regime)
-
-    k = len(k_set)
-    r_k = r_intra[k_set]
-    log2_gm = -(alpha / k) * np.sum(np.log2(1.0 + r_k))   # log2 of the product term
-    gamma2 = math.exp(specfun.ln_gamma((2.0 * n_t - 1.0) / (n_t - 1.0)))
-    gamma1 = math.exp(specfun.ln_gamma(n_t / (n_t - 1.0)))
-
-    if res_eq > noise_floor:
-        regime = Regime.DOMINANT_RESIDUAL
-        b0_real = (n_t - 1.0) * math.log2(k * gamma1)
-    else:
-        coef = (n_t - 1.0) * k / (k + 1.0)
-        b0_real = (b_tot / (k + 1.0)
-                   - coef * (math.log2(n_t * k / (n_t - 1.0)) + log2_gm)
-                   + coef * math.log2(noise_floor))
-        b0_real = min(max(b0_real, 0.0), float(b_tot))
-        # re-test the regime at the dominant-inter-cluster solution
-        res_opt = gamma2 * k * 2.0 ** (-(b_tot - b0_real) / (k * (n_t - 1.0))) \
-            * 2.0 ** log2_gm
-        if res_opt > noise_floor:
-            regime = Regime.DOMINANT_RESIDUAL
-            b0_real = (n_t - 1.0) * math.log2(k * gamma1)
-        else:
-            regime = Regime.DOMINANT_INTER_CLUSTER
-
-    b0_real = min(max(b0_real, 0.0), float(b_tot))
-    if regime is Regime.DOMINANT_RESIDUAL:
-        b0 = int(min(math.ceil(b0_real), b_tot))
-    else:
-        b0 = int(math.floor(b0_real))
-    b_i = b_tot - b0
-
+    (b0,), (kf,), (residual,) = adaptive_decision(
+        r_intra[None, :], b_tot, n_t, alpha, e_iout, inv_snr)
     b_intra = np.zeros(n, dtype=int)
-    k_final = effective_set(r_intra, b_i, n_t, alpha)
-    if len(k_final) > 0:
-        kf = len(k_final)
-        r_f = r_intra[k_final]
-        log2_pl = -alpha * np.log2(1.0 + r_f)
+    if kf:
+        b_i = b_tot - b0
+        log2_pl = -alpha * np.log2(1.0 + r_intra[:kf])
         shares = b_i / kf + (n_t - 1.0) * (log2_pl - log2_pl.mean())
-        b_intra[k_final] = _integerize_largest_remainder(shares, b_i)
-    else:
-        b0 = b_tot
-    return BitAllocation(int(b0), b_intra, k_final, regime)
+        b_intra[:kf] = _integerize_largest_remainder(shares, b_i)
+    regime = (Regime.DOMINANT_RESIDUAL if residual
+              else Regime.DOMINANT_INTER_CLUSTER)
+    return BitAllocation(b0, b_intra, np.arange(kf), regime)

@@ -31,6 +31,8 @@ from scipy.spatial import HalfspaceIntersection
 from .errors import DegenerateRealizationError
 
 _GUARD_FRACTION = 0.9
+# outward normals of the window's bounding square, in half-space order
+_SQUARE_NORMALS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,10 @@ class TypicalCluster:
 def _uniform_disk(rng, count, radius):
     r = radius * np.sqrt(rng.random(count))
     theta = 2.0 * math.pi * rng.random(count)
-    return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+    points = np.empty((count, 2))
+    np.multiply(r, np.cos(theta), out=points[:, 0])
+    np.multiply(r, np.sin(theta), out=points[:, 1])
+    return points
 
 
 def sample_realization(cfg, rng):
@@ -147,30 +152,31 @@ def build_typical_cluster(net):
         raise DegenerateRealizationError("window lacks base or cluster stations")
 
     bs_dist = np.hypot(net.bs_points[:, 0], net.bs_points[:, 1])
-    serving = int(np.argmin(bs_dist))
+    serving = int(bs_dist.argmin())
     r0 = float(bs_dist[serving])
-    c0_idx = int(nearest_cluster(net.bs_points[serving:serving + 1],
-                                 net.cluster_points)[0])
+    # the serving station's row of `nearest_cluster`
+    dx = net.bs_points[serving, 0] - net.cluster_points[:, 0]
+    dy = net.bs_points[serving, 1] - net.cluster_points[:, 1]
+    c0_idx = int((dx * dx + dy * dy).argmin())
     c0 = net.cluster_points[c0_idx]
 
-    neighbors = np.delete(net.cluster_points, c0_idx, axis=0)
-    delta = neighbors - c0
-    r_m = 0.5 * float(np.min(np.hypot(delta[:, 0], delta[:, 1])))
+    delta = np.delete(net.cluster_points, c0_idx, axis=0) - c0
+    r_m = 0.5 * float(np.hypot(delta[:, 0], delta[:, 1]).min())
 
     # cluster cell = bisector half-planes {x : delta . (x - c0 - delta/2) <= 0}
     # cut to the window's bounding square; c0 lies strictly inside it
-    w = net.window_radius
-    halfspaces = np.vstack((
-        np.column_stack((delta, -np.einsum("ij,ij->i", delta, c0 + 0.5 * delta))),
-        [[1.0, 0.0, -w], [-1.0, 0.0, -w], [0.0, 1.0, -w], [0.0, -1.0, -w]],
-    ))
+    halfspaces = np.empty((n_c + 3, 3))
+    halfspaces[:-4, :2] = delta
+    halfspaces[:-4, 2] = -np.einsum("ij,ij->i", delta, c0 + 0.5 * delta)
+    halfspaces[-4:, :2] = _SQUARE_NORMALS
+    halfspaces[-4:, 2] = -net.window_radius
     vertices = HalfspaceIntersection(halfspaces, c0).intersections
-    cell_reach = float(np.max(np.hypot(vertices[:, 0], vertices[:, 1])))
+    cell_reach = float(np.hypot(vertices[:, 0], vertices[:, 1]).max())
 
     # members lie in the cut cell, so within its farthest vertex of c0; the
     # margin covers the vertices' round-off
     reach = vertices - c0
-    c0_reach = float(np.max(np.hypot(reach[:, 0], reach[:, 1]))) * (1.0 + 1e-9)
+    c0_reach = float(np.hypot(reach[:, 0], reach[:, 1]).max()) * (1.0 + 1e-9)
     offset = net.bs_points - c0
     candidates = np.flatnonzero(np.hypot(offset[:, 0], offset[:, 1]) <= c0_reach)
     members = candidates[nearest_cluster(net.bs_points[candidates],

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, special, stats
 
-from clusternull import analysis, feedback, montecarlo, specfun
+from clusternull import analysis, feedback, geometry, montecarlo, specfun
 from clusternull.errors import DomainError
 from clusternull.geometry import FixedNt, FollowN, SimConfig
 
 LAM = 1e-4
+LOG2E = math.log2(math.e)
 
 
 def cfg_default(ratio=3.0, d_nt=7, **kw):
@@ -363,25 +364,120 @@ def test_rate_loss_equal_increasing_in_ratio():
     assert a < b < c
 
 
+def _loss_constants(cfg):
+    """(E{I_out}, E{log2(I_out + 1/SNR)}), as the adaptive bound reads them."""
+    return (analysis.expected_iout(cfg.lambda_b, cfg.lambda_c, cfg.alpha),
+            analysis.expected_log2_iout_plus(cfg.lambda_b, cfg.lambda_c,
+                                             cfg.alpha, cfg.inv_snr))
+
+
 def test_rate_loss_adaptive_realization_modes():
+    # one-row batches of the per-realization loss, beside the allocation
+    # the same rule makes for that row
     cfg = cfg_plateau()
-    e_iout = analysis.expected_iout(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
-    e_log = analysis.expected_log2_iout_plus(cfg.lambda_b, cfg.lambda_c,
-                                             cfg.alpha, cfg.inv_snr)
+    d_nt = cfg.antenna_mode.d_nt
+    e_iout, e_log = _loss_constants(cfg)
     r = np.array([0.4, 0.9, 1.8])
-    loss, alloc = analysis.rate_loss_adaptive_realization(3, r, cfg, 30,
-                                                          e_iout, e_log)
+    (loss,) = analysis.rate_loss_adaptive_rows(r[None, :], cfg, 30, e_iout, e_log)
+    alloc = feedback.adaptive_allocation(r, 30, 3 + d_nt, cfg.alpha, e_iout,
+                                         cfg.inv_snr)
     assert np.isfinite(loss)
     assert alloc.b0 + alloc.b_intra.sum() == 30
 
     # symmetric two-interferer instance at cell-scale distance: both in the
     # effective set with near-equal bits
     r2 = np.array([0.5, 0.5])
-    loss2, alloc2 = analysis.rate_loss_adaptive_realization(2, r2, cfg, 30,
-                                                            e_iout, e_log)
+    (loss2,) = analysis.rate_loss_adaptive_rows(r2[None, :], cfg, 30, e_iout, e_log)
+    alloc2 = feedback.adaptive_allocation(r2, 30, 2 + d_nt, cfg.alpha, e_iout,
+                                          cfg.inv_snr)
     assert len(alloc2.effective_set) == 2
     assert abs(alloc2.b_intra[0] - alloc2.b_intra[1]) <= 1
     assert np.isfinite(loss2)
+
+
+def per_draw_adaptive_loss(cluster, cfg, b_tot, e_iout, e_log):
+    """Reference: one realization's adaptive loss from the per-trial
+    allocation, in scalar arithmetic.  Returns (loss, allocation)."""
+    n_t = cluster.n_interferers + cfg.antenna_mode.d_nt
+    alloc = feedback.adaptive_allocation(cluster.intra_dist, b_tot, n_t,
+                                         cfg.alpha, e_iout, cfg.inv_snr)
+    floor = e_iout + cfg.inv_snr
+    if n_t <= 1:
+        return 0.0, alloc
+    g1 = math.exp(specfun.ln_gamma(n_t / (n_t - 1.0)))
+    g2 = math.exp(specfun.ln_gamma((2.0 * n_t - 1.0) / (n_t - 1.0)))
+    loss = LOG2E * g1 * 2.0 ** (-alloc.b0 / (n_t - 1.0)) - e_log
+    k = len(alloc.effective_set)
+    if k == 0:
+        return loss + math.log2(floor), alloc
+    gm = float(np.prod((1.0 + cluster.intra_dist[alloc.effective_set])
+                       ** (-cfg.alpha / k)))
+    if alloc.regime is feedback.Regime.DOMINANT_RESIDUAL:
+        return loss + (math.log2(g2 * k * gm)
+                       + (alloc.b0 - b_tot) / (k * (n_t - 1.0))), alloc
+    b_i = b_tot - alloc.b0
+    return loss + (math.log2(floor) + LOG2E * g2 / floor * k
+                   * 2.0 ** (-b_i / (k * (n_t - 1.0))) * gm), alloc
+
+
+def per_draw_adaptive_bound(cfg, budgets, draws):
+    """Reference: the adaptive bound as one call per draw and budget, summed
+    in draw order.  Returns (values, per-draw losses, features seen)."""
+    e_iout, e_log = _loss_constants(cfg)
+    losses = [[] for _ in budgets]
+    seen = set()
+    for i in range(draws):
+        rng = np.random.default_rng((cfg.seed, 104729, i))
+        cluster, _ = geometry.sample_typical_cluster(cfg, rng)
+        n = cluster.n_interferers
+        seen |= {"n=0"} if n == 0 else {"n>=8"} if n >= 8 else set()
+        for j, b_tot in enumerate(budgets):
+            loss, alloc = per_draw_adaptive_loss(cluster, cfg, b_tot, e_iout, e_log)
+            losses[j].append(loss)
+            if n and len(alloc.effective_set) == 0:
+                seen.add("empty set")
+            if alloc.regime is feedback.Regime.DOMINANT_RESIDUAL:
+                seen.add("residual")
+    values = []
+    for row in losses:
+        total = 0.0
+        for loss in row:
+            total += loss
+        values.append(total / draws)
+    return values, losses, seen
+
+
+@pytest.mark.parametrize("ratio,d_nt,snr_db,budgets,features", [
+    (3.0, 5, 20.0, (20, 40), {"n=0"}),      # the benchmark's plateau config
+    (30.0, 1, 0.0, (20, 40), {"n>=8", "empty set"}),
+    (8.0, 3, 40.0, (5,), {"residual"}),
+])
+def test_batched_adaptive_bound_equals_per_draw_oracle(ratio, d_nt, snr_db,
+                                                       budgets, features):
+    # value for value (not approximately) the per-draw computation; the
+    # error is the per-draw losses' standard error
+    cfg = cfg_plateau(ratio=ratio, d_nt=d_nt, snr_db=snr_db, seed=23)
+    values, errors = analysis.rate_loss_ub_adaptive(cfg, budgets,
+                                                    geometry_trials=300)
+    want, losses, seen = per_draw_adaptive_bound(cfg, budgets, 300)
+    assert features <= seen
+    assert values == want
+    for err, row in zip(errors, losses):
+        assert err == pytest.approx(np.std(row, ddof=1) / math.sqrt(300),
+                                    rel=1e-12)
+
+
+def test_adaptive_bound_standard_error():
+    # two disjoint 400-draw streams agree within 4 combined errors
+    budgets = (20, 40)
+    a_vals, a_errs = analysis.rate_loss_ub_adaptive(cfg_plateau(seed=17), budgets,
+                                                    geometry_trials=400)
+    b_vals, b_errs = analysis.rate_loss_ub_adaptive(cfg_plateau(seed=18), budgets,
+                                                    geometry_trials=400)
+    for a, ea, b, eb in zip(a_vals, a_errs, b_vals, b_errs):
+        assert math.isfinite(ea) and ea > 0.0
+        assert math.isfinite(eb) and eb > 0.0
+        assert abs(a - b) <= 4.0 * math.hypot(ea, eb), (a, ea, b, eb)
 
 
 def test_rate_loss_bounds_hold_in_sharp_regime():
@@ -391,7 +487,7 @@ def test_rate_loss_bounds_hold_in_sharp_regime():
     budgets = (20, 40)
     arrays = montecarlo.collect_trials(
         cfg, [(p, b) for b in budgets for p in ("equal-bias", "adaptive")])
-    adaptive = analysis.rate_loss_ub_adaptive(cfg, budgets, geometry_trials=400)
+    adaptive, _ = analysis.rate_loss_ub_adaptive(cfg, budgets, geometry_trials=400)
     for b_tot, ad_ub in zip(budgets, adaptive):
         eq_ub = analysis.rate_loss_ub_equal(cfg, b_tot)
         for policy, ub in (("equal-bias", eq_ub), ("adaptive", ad_ub)):
@@ -403,7 +499,7 @@ def test_rate_loss_bounds_hold_in_sharp_regime():
 def test_adaptive_bound_below_equal_bound_on_average():
     cfg = cfg_plateau(seed=2)
     eq = analysis.rate_loss_ub_equal(cfg, 30)
-    (ad,) = analysis.rate_loss_ub_adaptive(cfg, [30], geometry_trials=400)
+    (ad,), _ = analysis.rate_loss_ub_adaptive(cfg, [30], geometry_trials=400)
     assert ad <= eq + 0.05
 
 
@@ -496,8 +592,8 @@ def test_rate_loss_ub_adaptive_grid_equals_scalar_calls():
     # one geometry set serves the whole budget grid, value for value
     cfg = cfg_plateau(seed=3)
     budgets = (8, 30, 55)
-    grid = analysis.rate_loss_ub_adaptive(cfg, budgets, geometry_trials=120)
-    scalar = [analysis.rate_loss_ub_adaptive(cfg, [b], geometry_trials=120)[0]
+    grid, _ = analysis.rate_loss_ub_adaptive(cfg, budgets, geometry_trials=120)
+    scalar = [analysis.rate_loss_ub_adaptive(cfg, [b], geometry_trials=120)[0][0]
               for b in budgets]
     assert grid == scalar
 

@@ -124,6 +124,19 @@ def test_bad_config_exit_code(capsys):
         assert len(err.splitlines()) == 1
 
 
+def test_btot_checked_only_where_read(capsys, tmp_path):
+    # rate-loss takes its budgets from --btot-grid and pmf-n takes none
+    for args in (["rate-loss", "--mode", "analytic", "--policy", "equal-bias",
+                  "--btot", "0", "--btot-grid", "10"],
+                 ["pmf-n", "--max-n", "3", "--btot", "0"]):
+        code, err = _main_stderr(capsys, [*args, "--out", str(tmp_path / "x.csv")])
+        assert code == 0, err
+    code, err = _main_stderr(capsys, ["coverage", "--mode", "mc", "--btot", "0",
+                                      "--trials", "5", "--t-db", "0"])
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("error: bad configuration")
+
+
 def test_package_error_exit_code(tmp_path):
     # a window of 1.5 clusters never holds an acceptable typical cluster
     r = run_cli(["coverage", "--mode", "mc", "--window-clusters", "1.5",

@@ -10,6 +10,7 @@ from clusternull.errors import DomainError
 from clusternull.feedback import (
     Regime,
     adaptive_allocation,
+    adaptive_decision,
     effective_set,
     equal_allocation,
     rvq_mean_interference,
@@ -326,3 +327,22 @@ def test_adaptive_equal_distances_match_equal_allocation():
     if len(a.effective_set) == 3:
         assert a.b_intra.max() - a.b_intra.min() <= 1
         assert a.b_intra.sum() == b_i
+
+
+@pytest.mark.parametrize("n", [3, 9])
+def test_adaptive_decision_rows_are_independent(n):
+    # a stacked batch decides every row as that row alone would be decided;
+    # the stacks hold both regimes and empty effective sets
+    rng = np.random.default_rng(12)
+    rows = np.sort(rng.uniform(0.05, 30.0, (40, n)), axis=1)
+    n_t, alpha, e_iout, inv_snr = n + 3, 4.0, 0.02, 0.01
+    seen = set()
+    for b_tot in (n, 2 * n + 1, 40):
+        batch = adaptive_decision(rows, b_tot, n_t, alpha, e_iout, inv_snr)
+        for i, row in enumerate(rows):
+            (b0,), (size,), (residual,) = adaptive_decision(
+                row[None, :], b_tot, n_t, alpha, e_iout, inv_snr)
+            assert (batch[0][i], batch[1][i], batch[2][i]) == (b0, size, residual)
+            seen |= {"residual" if residual else "inter-cluster"}
+            seen |= {"empty set"} if size == 0 else set()
+    assert seen == {"residual", "inter-cluster", "empty set"}
