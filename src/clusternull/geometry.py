@@ -9,9 +9,15 @@ observation window is a disk around the typical user (the origin) holding
 rejects realizations whose serving cluster cell reaches the outer 10%
 annulus of the window, to suppress edge effects; `build_typical_cluster`
 extracts the cluster of any realization and leaves that rule to the
-sampler.  The cell (the Voronoi cell of the serving cluster station, cut
-to the window's bounding square) comes from one half-plane intersection;
-its reach serves the guard rule.
+sampler.  The cell (the Voronoi cell of the serving cluster station c0,
+cut to the window's bounding square) is the square clipped, in plain
+floats and coordinates centred on c0, by the bisector half-planes
+delta . y <= |delta|^2 / 2 of the other cluster stations, nearest first.
+The clip stops at the first station whose distance d from c0 exceeds
+twice the polygon's current reach from c0.  That stop is exact: every
+vertex y then has delta . y <= d |y| < d^2 / 2, so the bisector cuts
+nothing, and every later station is farther still.  The cell's reach
+from the user serves the guard rule.
 
 Association is nearest-point, but a realization carries no association
 map: extraction associates only the serving cluster's candidate members,
@@ -26,13 +32,10 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.spatial import HalfspaceIntersection
 
 from .errors import DegenerateRealizationError
 
 _GUARD_FRACTION = 0.9
-# outward normals of the window's bounding square, in half-space order
-_SQUARE_NORMALS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,11 @@ class SimConfig:
             raise ValueError("requires alpha > 2 for integrable interference")
         if self.trials < 1:
             raise ValueError("requires trials >= 1")
+        mode = self.antenna_mode
+        if (mode.d_nt if isinstance(mode, FollowN) else mode.n_t) < 1:
+            raise ValueError(f"requires dnt >= 1 and nt >= 1, got {mode}")
+        if not 0.0 < self.window_cluster_count < math.inf:
+            raise ValueError("requires a finite window_cluster_count > 0")
 
     @property
     def ratio(self):
@@ -139,6 +147,22 @@ def nearest_cluster(points, clusters):
     return np.argmin(dx * dx + dy * dy, axis=1)
 
 
+def _clip(poly, ax, ay, b):
+    """Convex polygon (vertex list) cut to the half-plane ax*x + ay*y <= b."""
+    out = []
+    px, py = poly[-1]
+    sp = ax * px + ay * py - b
+    for qx, qy in poly:
+        sq = ax * qx + ay * qy - b
+        if sp * sq < 0.0:
+            t = sp / (sp - sq)
+            out.append((px + t * (qx - px), py + t * (qy - py)))
+        if sq <= 0.0:
+            out.append((qx, qy))
+        px, py, sp = qx, qy, sq
+    return out
+
+
 def build_typical_cluster(net):
     """Extract the tagged cluster around the typical user at the origin.
 
@@ -159,24 +183,30 @@ def build_typical_cluster(net):
     dy = net.bs_points[serving, 1] - net.cluster_points[:, 1]
     c0_idx = int((dx * dx + dy * dy).argmin())
     c0 = net.cluster_points[c0_idx]
+    c0x, c0y = c0.tolist()
 
-    delta = np.delete(net.cluster_points, c0_idx, axis=0) - c0
-    r_m = 0.5 * float(np.hypot(delta[:, 0], delta[:, 1]).min())
+    delta = net.cluster_points - c0
+    dist = np.hypot(delta[:, 0], delta[:, 1])
+    order = dist.argsort()[1:]
+    r_m = 0.5 * float(dist[order[0]])
 
-    # cluster cell = bisector half-planes {x : delta . (x - c0 - delta/2) <= 0}
-    # cut to the window's bounding square; c0 lies strictly inside it
-    halfspaces = np.empty((n_c + 3, 3))
-    halfspaces[:-4, :2] = delta
-    halfspaces[:-4, 2] = -np.einsum("ij,ij->i", delta, c0 + 0.5 * delta)
-    halfspaces[-4:, :2] = _SQUARE_NORMALS
-    halfspaces[-4:, 2] = -net.window_radius
-    vertices = HalfspaceIntersection(halfspaces, c0).intersections
-    cell_reach = float(np.hypot(vertices[:, 0], vertices[:, 1]).max())
+    # the cell centred on c0 (see the module docstring for the stop rule)
+    x0, x1 = -net.window_radius - c0x, net.window_radius - c0x
+    y0, y1 = -net.window_radius - c0y, net.window_radius - c0y
+    poly = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    reach2 = max(x * x + y * y for x, y in poly)
+    for (ax, ay), d in zip(delta[order].tolist(), dist[order].tolist()):
+        if d * d > 4.0 * reach2:
+            break
+        cut = _clip(poly, ax, ay, 0.5 * (ax * ax + ay * ay))
+        if cut != poly:  # about half the clips cut nothing
+            poly = cut
+            reach2 = max(x * x + y * y for x, y in poly)
+    cell_reach = max(math.hypot(x + c0x, y + c0y) for x, y in poly)
 
     # members lie in the cut cell, so within its farthest vertex of c0; the
     # margin covers the vertices' round-off
-    reach = vertices - c0
-    c0_reach = float(np.hypot(reach[:, 0], reach[:, 1]).max()) * (1.0 + 1e-9)
+    c0_reach = math.sqrt(reach2) * (1.0 + 1e-9)
     offset = net.bs_points - c0
     candidates = np.flatnonzero(np.hypot(offset[:, 0], offset[:, 1]) <= c0_reach)
     members = candidates[nearest_cluster(net.bs_points[candidates],

@@ -31,12 +31,13 @@ def read_table(path):
     return meta, header, rows
 
 
-def test_cli_import_leaves_out_scipy_integrate():
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.spatial"])
+def test_cli_import_leaves_out_scipy_module(module):
     # only the scalar 2F1 oracle's quadrature fallback uses scipy.integrate,
-    # and it imports it on first use
+    # and it imports it on first use; the cell clip needs no scipy.spatial
     r = subprocess.run([sys.executable, "-c",
                         "import sys, clusternull.cli; "
-                        "print('scipy.integrate' in sys.modules)"],
+                        f"print({module!r} in sys.modules)"],
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"
@@ -102,8 +103,8 @@ def test_bad_config_exit_code(capsys):
         assert err.startswith("error: bad configuration")
         assert len(err.splitlines()) == 1
     # scalar bit budgets below 1, density ratios below 1 (lambda_c above
-    # lambda_b, zero or negative), a negative PMF range, and unknown
-    # strategy tokens
+    # lambda_b, zero or negative), a negative PMF range, unknown strategy
+    # tokens, no antennas, and a window with no clusters on average
     for args in (["coverage", "--mode", "mc", "--strategy", "lf-adaptive",
                   "--btot=-5", "--trials", "20", "--t-db", "0",
                   "--lambda-b", "1", "--snr-db", "20"],
@@ -117,7 +118,17 @@ def test_bad_config_exit_code(capsys):
                  ["coverage", "--mode", "mc", "--strategy", "foo",
                   "--trials", "5", "--t-db", "0"],
                  ["rate", "--mode", "analytic", "--dnt", "1",
-                  "--strategy", "icin,foo"]):
+                  "--strategy", "icin,foo"],
+                 ["rate-loss", "--mode", "mc", "--dnt", "0", "--trials", "20",
+                  "--btot-grid", "20"],
+                 ["rate-loss", "--mode", "mc", "--dnt=-1", "--trials", "20",
+                  "--btot-grid", "20"],
+                 ["coverage", "--mode", "mc", "--nt", "0", "--trials", "5",
+                  "--t-db", "0"],
+                 ["rate-loss", "--mode", "mc", "--window-clusters=-3",
+                  "--trials", "20", "--btot-grid", "20"],
+                 ["rate-loss", "--mode", "mc", "--window-clusters", "0",
+                  "--trials", "20", "--btot-grid", "20"]):
         code, err = _main_stderr(capsys, args)
         assert code == cli.EXIT_CONFIG
         assert err.startswith("error: bad configuration")

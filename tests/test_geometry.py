@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.spatial import Voronoi
+from scipy.spatial import HalfspaceIntersection, Voronoi
 
 from clusternull import analysis, geometry
 from clusternull.errors import DegenerateRealizationError
 from clusternull.geometry import (
+    FixedNt,
     FollowN,
     NetworkRealization,
     SimConfig,
@@ -44,6 +45,10 @@ def test_config_validation():
         SimConfig(alpha=2.0, lambda_c=0.5)
     with pytest.raises(ValueError):
         SimConfig(lambda_c=0.5, trials=0)
+    for kw in ({"antenna_mode": FollowN(0)}, {"antenna_mode": FixedNt(0)},
+               {"window_cluster_count": 0.0}, {"window_cluster_count": -3.0}):
+        with pytest.raises(ValueError):
+            SimConfig(lambda_c=0.5, **kw)
 
 
 def test_poisson_count_mean():
@@ -140,6 +145,55 @@ def test_cell_matches_scipy_voronoi():
             assert cl.r_m == pytest.approx(edge_dist.min(), rel=1e-12)
             checked += 1
     assert checked >= 100
+
+
+def _qhull_cell(net, c0_idx):
+    """Vertices of the serving cell from scipy's half-space intersection:
+    the bisector half-planes of c0 and the window's bounding square."""
+    c0 = net.cluster_points[c0_idx]
+    delta = np.delete(net.cluster_points, c0_idx, axis=0) - c0
+    square = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    halfspaces = np.vstack([
+        np.column_stack([delta, -np.einsum("ij,ij->i", delta, c0 + 0.5 * delta)]),
+        np.column_stack([square, np.full(4, -net.window_radius)])])
+    return HalfspaceIntersection(halfspaces, c0).intersections
+
+
+@pytest.mark.parametrize("ratio", [1.0, 3.0, 30.0])
+@pytest.mark.parametrize("window_clusters", [6.0, 100.0])
+def test_square_cut_cell_matches_qhull(window_clusters, ratio):
+    # the cells `test_cell_matches_scipy_voronoi` skips: a vertex on the
+    # window's square.  A 100-cluster window's serving cell almost never
+    # reaches the square, so there the square is pulled in across the cell
+    # (c0 stays strictly inside it).  A vertex on the square puts the reach
+    # at or past the square's half-side, so the guard rejects every such
+    # cell: the clip must agree.
+    cfg = SimConfig(lambda_b=LAM_B, lambda_c=LAM_B / ratio,
+                    window_cluster_count=window_clusters)
+    rng = np.random.default_rng((21, int(ratio), int(window_clusters)))
+    checked = 0
+    for _ in range(100):
+        net = sample_realization(cfg, rng)
+        if len(net.bs_points) == 0 or len(net.cluster_points) < 2:
+            continue
+        c0_idx = nearest_cluster(net.bs_points, net.cluster_points)[
+            np.argmin(np.hypot(*net.bs_points.T))]
+        vertices = _qhull_cell(net, c0_idx)
+        if np.abs(vertices).max() < net.window_radius * (1.0 - 1e-9):
+            if window_clusters < 100.0:
+                continue
+            inner = np.abs(net.cluster_points[c0_idx]).max()
+            net = NetworkRealization(
+                bs_points=net.bs_points, cluster_points=net.cluster_points,
+                window_radius=0.5 * (inner + np.abs(vertices).max()))
+            vertices = _qhull_cell(net, c0_idx)
+        reach = np.hypot(*vertices.T).max()
+        cl = build_typical_cluster(net)
+        assert cl.cell_reach == pytest.approx(reach, rel=1e-12)
+        guard = 0.9 * net.window_radius
+        assert (cl.cell_reach > guard) == (reach > guard)
+        checked += 1
+    assert checked >= 50
 
 
 def test_r0_distribution():
