@@ -18,11 +18,9 @@ Each failure prints one `error:` line on stderr.
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
-import numpy as np
-
-from . import analysis, geometry, montecarlo
+from . import analysis, montecarlo
 from .errors import ClusterNullError, DomainError
 from .geometry import FixedNt, FollowN, SimConfig
 
@@ -40,14 +38,12 @@ SERIES = ("icin", "nic", *LF_STRATEGIES)
 
 @dataclass
 class RunSpec:
-    command: str                    # coverage | rate | rate-loss | pmf-n | sweep
+    command: str                    # a key of COMMANDS
     mode: str = "both"              # mc | analytic | both
     cfg: SimConfig = field(default_factory=SimConfig)
-    grid_param: str = ""
     grid: tuple = ()
     series: tuple = ("icin",)
     output_path: str = "-"
-    max_n: int = 40
     b_tot: int = 50                 # --btot: the budget of every lf-* series
 
 
@@ -97,7 +93,6 @@ _DEFAULTS = {
     "window_clusters": 100.0,
     "strategy": "icin",
     "policy": "adaptive,equal-bias",
-    "max_n": 40,
 }
 
 
@@ -119,13 +114,100 @@ def _check_budget(b_tot):
         raise ValueError(f"bit budgets must be integers >= 1, got {b_tot!r}")
 
 
-def _strategies(text):
-    """The comma-separated series of coverage, rate and sweep."""
+def _tokens(text, allowed, key):
     series = tuple(text.split(","))
     for s in series:
-        if s not in SERIES:
-            raise ValueError(f"strategy must be one of {', '.join(SERIES)}, got {s!r}")
+        if s not in allowed:
+            raise ValueError(f"{key} must be one of {', '.join(allowed)}, got {s!r}")
+    if len(set(series)) < len(series):
+        raise ValueError(f"{key} repeats a series: {text!r}")
     return series
+
+
+def _strategies(text, cfg, b_tot):
+    """The series of coverage, rate and sweep; the lf-* series read b_tot."""
+    _check_budget(b_tot)
+    return _tokens(text, SERIES, "strategy")
+
+
+def _policies(text, cfg, b_tot):
+    """The series of rate-loss, whose allocations need antennas following N."""
+    if not isinstance(cfg.antenna_mode, FollowN):
+        raise ValueError("rate-loss needs antennas following N (use dnt)")
+    return _tokens(text, montecarlo.POLICIES, "policy")
+
+
+def _strategy_pair(token, point, b_tot):
+    """An lf-* strategy's (policy, b_tot); icin and nic need none."""
+    return (LF_STRATEGIES[token], b_tot) if token in LF_STRATEGIES else None
+
+
+def _cfg_at_ratio(cfg, ratio):
+    return replace(cfg, lambda_c=cfg.lambda_b / ratio)
+
+
+def _pointwise(bound):
+    """An analytic column evaluated point by point; its errors read nan."""
+    return lambda cfg, grid: ([bound(cfg, g) for g in grid], [math.nan] * len(grid))
+
+
+@dataclass(frozen=True)
+class Command:
+    """What a command's run reads: its grid, its series and how a cell of
+    either kind is evaluated.  The callables look the package functions up
+    at call time, so a wrapped montecarlo.* or analysis.* is what runs."""
+    grid_key: str                   # flag dest, config and metadata key
+    grid_column: str                # CSV header of the grid column
+    default_grid: object            # None: the one point --ratio
+    value: object = lambda cfg, point: point     # the CSV value cell
+    series_key: str = "strategy"    # config and metadata key of the series
+    series: object = _strategies    # (text, cfg, b_tot) -> checked tokens
+    parse_grid: object = parse_range
+    check_point: object = lambda point: None
+    grid_text: object = lambda grid: ",".join(repr(float(g)) for g in grid)
+    value_column: str = "value"
+    config_at: object = lambda cfg, point: cfg
+    pair: object = _strategy_pair   # (token, point, b_tot) -> pair or None
+    estimate: object = None         # (arrays, column, value) -> Estimate
+    analytic: dict = field(default_factory=dict)  # token -> (cfg, grid) -> (values, errors)
+
+
+_RATE = Command(
+    grid_key="ratio_grid", grid_column="ratio", default_grid=None,
+    check_point=_check_ratio, config_at=_cfg_at_ratio,
+    estimate=lambda arrays, sinr, value: montecarlo.estimate_rate(sinr),
+    analytic={"icin": _pointwise(
+        lambda cfg, ratio: analysis.rate_lb_ic(_cfg_at_ratio(cfg, ratio)))})
+
+COMMANDS = {
+    "coverage": Command(
+        grid_key="t_db", grid_column="t_db", default_grid="-10:2:20",
+        value=lambda cfg, t_db: 10.0 ** (t_db / 10.0),
+        estimate=lambda arrays, sinr, t: montecarlo.estimate_coverage(sinr, [t])[0],
+        analytic={"icin": lambda cfg, grid: analysis.coverage_curve(cfg, grid)}),
+    "rate": _RATE,
+    "sweep": replace(_RATE, default_grid="1:1:6"),
+    "rate-loss": Command(
+        grid_key="btot_grid", grid_column="b_tot", default_grid="10:10:50",
+        series_key="policy", series=_policies, check_point=_check_budget,
+        pair=lambda policy, b_tot, scalar_b_tot: (policy, int(b_tot)),
+        estimate=lambda arrays, sinr, value: montecarlo.estimate_rate_loss(
+            arrays.sinr_ic, sinr),
+        analytic={
+            "adaptive": lambda cfg, grid: analysis.rate_loss_ub_adaptive(cfg, grid),
+            "equal-bias": _pointwise(lambda cfg, b_tot: analysis.rate_loss_ub_equal(
+                cfg, int(b_tot), bias=True)),
+            "equal-nobias": _pointwise(lambda cfg, b_tot: analysis.rate_loss_ub_equal(
+                cfg, int(b_tot), bias=False))}),
+    # the trivial case: no series, the PMF as the value of a count
+    "pmf-n": Command(
+        grid_key="max_n", grid_column="n", default_grid="40",
+        value=lambda cfg, n: analysis.pmf_n(n, cfg.ratio),
+        series=lambda text, cfg, b_tot: (),
+        parse_grid=lambda max_n: tuple(range(int(max_n) + 1)),
+        grid_text=lambda grid: str(grid[-1]),
+        value_column="pmf"),
+}
 
 
 def _build_spec(args, file_cfg):
@@ -135,8 +217,7 @@ def _build_spec(args, file_cfg):
             return cli_val if not isinstance(cli_val, str) else cast(cli_val)
         if key in file_cfg:
             return cast(file_cfg[key])
-        dflt = _DEFAULTS.get(key)
-        return dflt
+        return _DEFAULTS.get(key)
 
     lambda_b = float(pick("lambda_b", float))
     ratio = float(pick("ratio", float))
@@ -164,48 +245,24 @@ def _build_spec(args, file_cfg):
         window_cluster_count=float(pick("window_clusters", float)),
     )
 
-    command = args.command
+    command = COMMANDS[args.command]
     mode = str(pick("mode", str))
     if mode not in ("mc", "analytic", "both"):
         raise ValueError(f"mode must be mc|analytic|both, got {mode!r}")
+    if command.estimate is None:      # pmf-n draws no trials
+        mode = "analytic"
     out = getattr(args, "out", None) or file_cfg.get("output", "-")
 
-    if command in ("coverage", "rate", "sweep"):
-        _check_budget(b_tot)          # the budget of every lf-* series
-    if command == "coverage":
-        grid_text = getattr(args, "t_db", None) or file_cfg.get("t_db", "-10:2:20")
-        grid = parse_range(grid_text)
-        series = _strategies(str(pick("strategy", str)))
-        return RunSpec(command, mode, cfg, "t_db", grid, series, out, b_tot=b_tot)
-    if command in ("rate", "sweep"):
-        default_grid = "" if command == "rate" else "1:1:6"
-        grid_text = (getattr(args, "ratio_grid", None)
-                     or file_cfg.get("ratio_grid", default_grid))
-        grid = parse_range(grid_text) if grid_text else (ratio,)
-        for r in grid:
-            _check_ratio(r)
-        series = _strategies(str(pick("strategy", str)))
-        return RunSpec(command, mode, cfg, "ratio", grid, series, out, b_tot=b_tot)
-    if command == "rate-loss":
-        if not isinstance(mode_ant, FollowN):
-            raise ValueError("rate-loss needs antennas following N (use dnt)")
-        grid_text = getattr(args, "btot_grid", None) or file_cfg.get("btot_grid", "10:10:50")
-        grid = parse_range(grid_text)
-        for b in grid:
-            _check_budget(b)
-        series = tuple(str(pick("policy", str)).split(","))
-        for s in series:
-            if s not in montecarlo.POLICIES:
-                raise ValueError(f"rate-loss series must be a policy, got {s!r}")
-        return RunSpec(command, mode, cfg, "b_tot", grid, series, out, b_tot=b_tot)
-    if command == "pmf-n":
-        max_n = int(pick("max_n", int))
-        if max_n < 0:
-            raise ValueError(f"max_n must be >= 0, got {max_n}")
-        return RunSpec(command, "analytic", cfg, "n",
-                       tuple(float(n) for n in range(max_n + 1)), ("pmf",), out,
-                       max_n=max_n, b_tot=b_tot)
-    raise ValueError(f"unknown command {command!r}")
+    series = command.series(str(pick(command.series_key, str)), cfg, b_tot)
+    text = pick(command.grid_key, str)
+    if text is None:
+        text = command.default_grid
+    grid = command.parse_grid(text) if text is not None else (ratio,)
+    if not grid:
+        raise ValueError(f"{command.grid_key}={text} gives an empty grid")
+    for point in grid:
+        command.check_point(point)
+    return RunSpec(args.command, mode, cfg, grid, series, out, b_tot)
 
 
 # ---------------------------------------------------------------------------
@@ -218,114 +275,58 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _cfg_at_ratio(cfg, ratio):
-    return replace(cfg, lambda_c=cfg.lambda_b / ratio)
-
-
-def _sinr_columns(cfg, series, b_tot):
-    """Each series token's SINR column, all read from one trial collection:
-    the limited-feedback tokens become (policy, b_tot) pairs."""
-    pairs = {s: (LF_STRATEGIES[s], b_tot) for s in series if s in LF_STRATEGIES}
-    arrays = montecarlo.collect_trials(cfg, pairs.values())
-    fixed = {"icin": arrays.sinr_ic, "nic": arrays.sinr_nic}
-    return {s: arrays.lf(*pairs[s]) if s in pairs else fixed[s] for s in series}
+def _column(arrays, token, pair):
+    """A series' SINR column in its trial collection."""
+    if pair is not None:
+        return arrays.lf(*pair)
+    return arrays.sinr_ic if token == "icin" else arrays.sinr_nic
 
 
 def run(spec):
     """Execute the run and return (header, rows, metadata) for CSV output."""
-    cfg = spec.cfg
+    command = COMMANDS[spec.command]
+    grid, series = spec.grid, spec.series
     want_mc = spec.mode in ("mc", "both")
     want_an = spec.mode in ("analytic", "both")
-    multi = len(spec.series) > 1
 
-    def cols(series):
-        names = ["mc_mean", "mc_ci95", "analytic_value", "analytic_err"]
-        return [f"{series}.{n}" for n in names] if multi else names
+    names = ("mc_mean", "mc_ci95", "analytic_value", "analytic_err")
+    header = [command.grid_column, command.value_column]
+    header += [f"{s}.{n}" if len(series) > 1 else n for s in series for n in names]
 
-    header = [spec.grid_param, "value"]
+    # the bounds first, so one outside its domain fails before any trial
+    bounds = {s: command.analytic[s](spec.cfg, grid)
+              for s in series if want_an and s in command.analytic}
+    cfgs = [command.config_at(spec.cfg, g) for g in grid]
+    keys = [astuple(cfg) for cfg in cfgs]       # SimConfig is unhashable
+    pairs = [[command.pair(s, g, spec.b_tot) for s in series] for g in grid]
+    # one collection per distinct config serves every cell of it;
+    # montecarlo drops the repeated pairs
+    wanted = {}
+    for key, cfg, point_pairs in zip(keys, cfgs, pairs):
+        wanted.setdefault(key, (cfg, []))[1].extend(p for p in point_pairs if p)
+    collections = {key: montecarlo.collect_trials(cfg, cfg_pairs)
+                   for key, (cfg, cfg_pairs) in wanted.items() if want_mc}
+
     rows = []
-
-    if spec.command == "pmf-n":
-        header = ["n", "pmf"]
-        for n in range(spec.max_n + 1):
-            rows.append([str(n), _fmt(analysis.pmf_n(n, cfg.ratio))])
-        return header, rows, _metadata(spec)
-
-    for s in spec.series:
-        header.extend(cols(s))
-
-    if spec.command == "coverage":
-        ts = [10.0 ** (tdb / 10.0) for tdb in spec.grid]
-        sinr = _sinr_columns(cfg, spec.series, spec.b_tot) if want_mc else None
-        per_series = {}
-        for s in spec.series:
-            mc_vals = [None] * len(ts)
-            mc_cis = [None] * len(ts)
-            an_vals = [None] * len(ts)
-            an_errs = [None] * len(ts)
+    for i, point in enumerate(grid):
+        value = command.value(cfgs[i], point)
+        row = [str(point), _fmt(value)]       # str: pmf-n's counts are ints
+        for s, pair in zip(series, pairs[i]):
+            mc_mean = mc_ci = an_val = an_err = None
             if want_mc:
-                ests = montecarlo.estimate_coverage(sinr[s], ts)
-                mc_vals = [e.mean for e in ests]
-                mc_cis = [e.ci95_halfwidth for e in ests]
-            if want_an and s == "icin":
-                an_vals, an_errs = analysis.coverage_curve(cfg, spec.grid)
-            per_series[s] = (mc_vals, mc_cis, an_vals, an_errs)
-        for i, tdb in enumerate(spec.grid):
-            row = [_fmt(tdb), _fmt(ts[i])]
-            for s in spec.series:
-                mv, mci, av, ae = per_series[s]
-                row.extend([_fmt(mv[i]), _fmt(mci[i]), _fmt(av[i]), _fmt(ae[i])])
-            rows.append(row)
-        return header, rows, _metadata(spec)
-
-    if spec.command in ("rate", "sweep"):
-        for ratio in spec.grid:
-            cfg_r = _cfg_at_ratio(cfg, ratio)
-            sinr = _sinr_columns(cfg_r, spec.series, spec.b_tot) if want_mc else None
-            row = [_fmt(ratio), _fmt(ratio)]
-            for s in spec.series:
-                mc_mean = mc_ci = an_val = an_err = None
-                if want_mc:
-                    est = montecarlo.estimate_rate(sinr[s])
-                    mc_mean, mc_ci = est.mean, est.ci95_halfwidth
-                if want_an and s == "icin":
-                    an_val, an_err = analysis.rate_lb_ic(cfg_r), math.nan
-                row.extend([_fmt(mc_mean), _fmt(mc_ci), _fmt(an_val), _fmt(an_err)])
-            rows.append(row)
-        return header, rows, _metadata(spec)
-
-    if spec.command == "rate-loss":
-        budgets = [int(b_tot) for b_tot in spec.grid]
-        if want_mc:
-            # every (policy, b_tot) cell reads its column of one collection
-            arrays = montecarlo.collect_trials(
-                cfg, [(s, b) for b in budgets for s in spec.series])
-        if want_an and "adaptive" in spec.series:
-            adaptive_ub, adaptive_err = analysis.rate_loss_ub_adaptive(cfg, budgets)
-        for k, b_tot in enumerate(budgets):
-            row = [_fmt(b_tot), _fmt(b_tot)]
-            for s in spec.series:
-                mc_mean = mc_ci = an_val = an_err = None
-                if want_mc:
-                    est = montecarlo.estimate_rate_loss(arrays.sinr_ic,
-                                                        arrays.lf(s, b_tot))
-                    mc_mean, mc_ci = est.mean, est.ci95_halfwidth
-                if want_an:
-                    if s == "adaptive":
-                        an_val, an_err = adaptive_ub[k], adaptive_err[k]
-                    else:
-                        an_val = analysis.rate_loss_ub_equal(
-                            cfg, b_tot, bias=(s == "equal-bias"))
-                        an_err = math.nan
-                row.extend([_fmt(mc_mean), _fmt(mc_ci), _fmt(an_val), _fmt(an_err)])
-            rows.append(row)
-        return header, rows, _metadata(spec)
-
-    raise ValueError(f"unknown command {spec.command!r}")
+                trials = collections[keys[i]]
+                est = command.estimate(trials, _column(trials, s, pair), value)
+                mc_mean, mc_ci = est.mean, est.ci95_halfwidth
+            if s in bounds:
+                an_val, an_err = bounds[s][0][i], bounds[s][1][i]
+            row.extend([_fmt(mc_mean), _fmt(mc_ci), _fmt(an_val), _fmt(an_err)])
+        rows.append(row)
+    return header, rows, _metadata(spec)
 
 
 def _metadata(spec):
     cfg = spec.cfg
+    command = COMMANDS[spec.command]
     meta = {
         "artifact": "clusternull",
         "version": "0.1.0",
@@ -339,21 +340,14 @@ def _metadata(spec):
         "trials": str(cfg.trials),
         "seed": str(cfg.seed),
         "window_clusters": repr(cfg.window_cluster_count),
-        "strategy" if spec.command != "rate-loss" else "policy":
-            ",".join(spec.series),
+        # pmf-n names its one value column
+        command.series_key: ",".join(spec.series) or command.value_column,
     }
     if isinstance(cfg.antenna_mode, FollowN):
         meta["dnt"] = str(cfg.antenna_mode.d_nt)
     else:
         meta["nt"] = str(cfg.antenna_mode.n_t)
-    if spec.command == "coverage":
-        meta["t_db"] = ",".join(repr(float(g)) for g in spec.grid)
-    elif spec.command in ("rate", "sweep"):
-        meta["ratio_grid"] = ",".join(repr(float(g)) for g in spec.grid)
-    elif spec.command == "rate-loss":
-        meta["btot_grid"] = ",".join(repr(float(g)) for g in spec.grid)
-    elif spec.command == "pmf-n":
-        meta["max_n"] = str(spec.max_n)
+    meta[command.grid_key] = command.grid_text(spec.grid)
     return meta
 
 

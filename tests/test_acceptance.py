@@ -156,6 +156,7 @@ def test_acceptance_05_crossover_ordering(d7_arrays):
         if ic + ci_ic < ni - ci_ni:
             d7_ok = False
             worst_t = tdb
+            break
     ok = below_at_0 and above_at_10 and d7_ok
     assert report(
         5, ok,

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from clusternull import cli
+from clusternull import cli, montecarlo
 
 
 def run_cli(args, env_extra=None):
@@ -104,7 +104,8 @@ def test_bad_config_exit_code(capsys):
         assert len(err.splitlines()) == 1
     # scalar bit budgets below 1, density ratios below 1 (lambda_c above
     # lambda_b, zero or negative), a negative PMF range, unknown strategy
-    # tokens, no antennas, and a window with no clusters on average
+    # tokens, no antennas, a window with no clusters on average, descending
+    # (empty) grids and repeated series tokens
     for args in (["coverage", "--mode", "mc", "--strategy", "lf-adaptive",
                   "--btot=-5", "--trials", "20", "--t-db", "0",
                   "--lambda-b", "1", "--snr-db", "20"],
@@ -128,11 +129,35 @@ def test_bad_config_exit_code(capsys):
                  ["rate-loss", "--mode", "mc", "--window-clusters=-3",
                   "--trials", "20", "--btot-grid", "20"],
                  ["rate-loss", "--mode", "mc", "--window-clusters", "0",
-                  "--trials", "20", "--btot-grid", "20"]):
+                  "--trials", "20", "--btot-grid", "20"],
+                 ["coverage", "--mode", "mc", "--trials", "5", "--t-db", "5:1:0"],
+                 ["sweep", "--mode", "mc", "--trials", "5", "--ratio-grid", "3:1:1"],
+                 ["rate", "--mode", "mc", "--trials", "5", "--ratio-grid", "3:1:1"],
+                 ["rate-loss", "--mode", "mc", "--trials", "5",
+                  "--btot-grid", "20:1:10"],
+                 ["coverage", "--mode", "mc", "--strategy", "icin,icin",
+                  "--trials", "5", "--t-db", "0"],
+                 ["sweep", "--mode", "mc", "--strategy", "nic,lf-adaptive,nic",
+                  "--trials", "5", "--ratio-grid", "2"],
+                 ["rate-loss", "--mode", "mc", "--policy", "adaptive,adaptive",
+                  "--trials", "5", "--btot-grid", "20"]):
         code, err = _main_stderr(capsys, args)
         assert code == cli.EXIT_CONFIG
         assert err.startswith("error: bad configuration")
         assert len(err.splitlines()) == 1
+
+
+def test_bound_domain_fails_before_any_trial(capsys, monkeypatch):
+    # the analytic columns are evaluated first: --nt 1 is outside the
+    # thresholded bound's domain, so no trial may be drawn
+    def no_trials(*args, **kwargs):
+        pytest.fail("montecarlo.collect_trials called before the bound failed")
+
+    monkeypatch.setattr(montecarlo, "collect_trials", no_trials)
+    code, err = _main_stderr(capsys, ["coverage", "--mode", "both", "--nt", "1",
+                                      "--t-db", "0", "--trials", "3000"])
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("error: bad configuration")
 
 
 def test_btot_checked_only_where_read(capsys, tmp_path):
@@ -228,12 +253,15 @@ def _series_columns(path, series):
     ("rate-loss", "--policy", ("20", "40"), ("adaptive", "equal-bias"),
      ["--mode", "both", "--lambda-b", "1", "--snr-db", "20", "--dnt", "5",
       "--ratio", "3", "--trials", "40"]),
+    ("coverage", "--strategy", ("0", "5"), ("icin", "lf-adaptive"),
+     ["--mode", "both", "--btot", "30", "--trials", "40"]),
 ])
 def test_one_collection_serves_every_series(tmp_path, command, flag, grid,
                                             series, extra):
     # a multi-series run equals the single-series runs at the same seed,
     # value for value
-    grid_flag = "--ratio-grid" if command == "sweep" else "--btot-grid"
+    grid_flag = {"coverage": "--t-db", "sweep": "--ratio-grid",
+                 "rate-loss": "--btot-grid"}[command]
     base = [command, *extra, "--seed", "31"]
     multi = tmp_path / "multi.csv"
     r = run_cli([*base, grid_flag, ",".join(grid), flag, ",".join(series),
