@@ -39,7 +39,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from . import feedback, geometry, specfun
 from .errors import DomainError
@@ -90,11 +89,13 @@ def _excl_kernel(x, s, alpha):
     """A(x, s) = Int_x^inf q r dr, q = s g / (1 + s g), g = (1+r)^-alpha
     (unit density), by its two-2F1 closed form; real s >= 0 and x
     broadcast against each other."""
+    # imported on first use, so commands that evaluate no bound never load scipy
+    from scipy.special import hyp2f1
     s = np.asarray(s, dtype=float)
     u0 = 1.0 + np.asarray(x, dtype=float)
     z = -(u0 ** (-alpha)) * s
-    f1 = special.hyp2f1(1.0, 1.0 - 2.0 / alpha, 2.0 - 2.0 / alpha, z)
-    f2 = special.hyp2f1(1.0, 1.0 - 1.0 / alpha, 2.0 - 1.0 / alpha, z)
+    f1 = hyp2f1(1.0, 1.0 - 2.0 / alpha, 2.0 - 2.0 / alpha, z)
+    f2 = hyp2f1(1.0, 1.0 - 1.0 / alpha, 2.0 - 1.0 / alpha, z)
     return (s * u0 ** (2.0 - alpha) / (alpha - 2.0) * f1
             - s * u0 ** (1.0 - alpha) / (alpha - 1.0) * f2)
 
@@ -107,6 +108,7 @@ def _excl_moments(x, s, alpha, n):
         w^m (1-w) [v0^2/(alpha m - 2) 2F1(m+1, 1; m+1-2/alpha; w)
                    - v0/(alpha m - 1) 2F1(m+1, 1; m+1-1/alpha; w)],  v0 = 1+x.
     """
+    from scipy.special import hyp2f1
     x, s = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(s, dtype=float))
     v0 = 1.0 + x[..., None]
@@ -115,19 +117,9 @@ def _excl_moments(x, s, alpha, n):
     m = np.arange(1.0, n)
     return w ** m * (1.0 - w) * (
         v0 * v0 / (alpha * m - 2.0)
-        * special.hyp2f1(m + 1.0, 1.0, m + 1.0 - 2.0 / alpha, w)
+        * hyp2f1(m + 1.0, 1.0, m + 1.0 - 2.0 / alpha, w)
         - v0 / (alpha * m - 1.0)
-        * special.hyp2f1(m + 1.0, 1.0, m + 1.0 - 1.0 / alpha, w))
-
-
-def laplace_interference_outside(s, r_excl, lambda_b, alpha):
-    """Laplace transform of the shot-noise interference outside radius r_excl."""
-    if r_excl < 0.0:
-        raise DomainError("r_excl must be >= 0")
-    if alpha <= 2.0:
-        raise DomainError("alpha must exceed 2")
-    val = np.exp(-2.0 * math.pi * lambda_b * _excl_kernel(r_excl, s, alpha))
-    return float(val) if np.isscalar(s) else val
+        * hyp2f1(m + 1.0, 1.0, m + 1.0 - 1.0 / alpha, w))
 
 
 def annulus_point_laplace(s, r0, r_big, alpha):

@@ -7,9 +7,10 @@ config file is flat key=value text; the metadata block embedded in every
 output CSV uses the same syntax (prefixed '# '), so a previous result file
 can be replayed directly via --config.
 
-Exit codes: 0 success, 2 bad configuration (also a value a bound finds
-outside its domain, such as --nt 1, a bit budget that is not an integer
->= 1, or a density ratio below 1), 4 a file could not be read or written,
+Exit codes: 0 success, 2 bad configuration (also a flag or flag value
+the parser rejects, and a value a bound finds outside its domain, such as
+--nt 1, a bit budget that is not an integer >= 1, or a density ratio
+below 1), 4 a file could not be read or written,
 5 any other package error while evaluating (for example no acceptable
 deployment realization within the sampler's attempt budget).
 Each failure prints one `error:` line on stderr.
@@ -363,8 +364,17 @@ def write_csv(path, header, rows, meta):
             fh.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError where argparse would print its usage block and
+    exit, so a bad flag gets the one `error:` line of a bad config value.
+    add_subparsers builds every subparser with this class too."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="clusternull",
         description="Coverage/rate evaluation of clustered interference "
                     "nulling in Poisson cellular networks")
@@ -431,11 +441,19 @@ def _merge_negative_values(argv):
     return out
 
 
+def _bad_config(exc):
+    print(f"error: bad configuration: {exc}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def main(argv=None):
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_merge_negative_values(list(argv)))
+    try:
+        args = parser.parse_args(_merge_negative_values(list(argv)))
+    except ValueError as exc:
+        return _bad_config(exc)
     try:
         file_cfg = load_config(args.config) if args.config else {}
     except OSError as exc:
@@ -444,13 +462,11 @@ def main(argv=None):
     try:
         spec = _build_spec(args, file_cfg)
     except (ValueError, TypeError) as exc:
-        print(f"error: bad configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _bad_config(exc)
     try:
         header, rows, meta = run(spec)
     except DomainError as exc:
-        print(f"error: bad configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _bad_config(exc)
     except ClusterNullError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_MODEL

@@ -27,7 +27,6 @@ quantized desired direction lies in the nulled span.
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,28 +97,39 @@ def _needs_e_iout(pairs):
     return any(policy == "adaptive" for policy, _ in pairs)
 
 
-def run_trial(cfg, rng, pairs=(), e_iout=None):
+def _tail(cfg):
+    """Campbell mean of the interference from beyond the sampling window;
+    the truncated tail's standard deviation is negligible at the default
+    window, so trials add this mean in place of those interferers."""
+    return analysis.mean_tail_interference(cfg.window_radius, cfg.lambda_b,
+                                           cfg.alpha)
+
+
+def run_trial(cfg, rng, pairs=(), e_iout=None, tail=None):
     """One accepted realization evaluated under every strategy and every
     limited-feedback (policy, b_tot) pair.
 
     The random tape per trial is: geometry, channel set, nulling-constraint
     directions, no-coordination intra fading, then the limited-feedback
     draws; bit values only reweight the tape, so pairs share randomness.
+    A collection passes the per-config constants e_iout and tail once.
     """
     if e_iout is None and _needs_e_iout(pairs):
         e_iout = analysis.expected_iout(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
+    if tail is None:
+        tail = _tail(cfg)
     for _ in range(64):
         cluster, rejections = geometry.sample_typical_cluster(cfg, rng)
         try:
             return _trial_from_cluster(cfg, cluster, rng, pairs, e_iout,
-                                       rejections)
+                                       tail, rejections)
         except RankDeficientError:
             log.warning("rank-deficient nulling matrix; resampling realization")
             continue
     raise RankDeficientError("persistent rank deficiency; check configuration")
 
 
-def _trial_from_cluster(cfg, cluster, rng, pairs, e_iout, rejections):
+def _trial_from_cluster(cfg, cluster, rng, pairs, e_iout, tail, rejections):
     n = cluster.n_interferers
     mode = cfg.antenna_mode
     if isinstance(mode, geometry.FollowN):
@@ -141,10 +151,6 @@ def _trial_from_cluster(cfg, cluster, rng, pairs, e_iout, rejections):
     l0 = float(path_loss(cluster.r0, cfg.alpha))
     pl_intra = 1.0 / path_loss(cluster.intra_dist, cfg.alpha)
     pl_out = 1.0 / path_loss(cluster.out_dist, cfg.alpha)
-    # beyond-window interferers enter through their Campbell mean; the
-    # truncated tail's standard deviation is negligible at the default window
-    tail = analysis.mean_tail_interference(cfg.window_radius, cfg.lambda_b,
-                                           cfg.alpha)
     i_out = float(pl_out @ chans.out_fading) + tail
 
     norm_h = float(np.linalg.norm(chans.h0))
@@ -168,12 +174,13 @@ def _trial_from_cluster(cfg, cluster, rng, pairs, e_iout, rejections):
         sinr_lf = tuple(float(sinr_nic) for _ in pairs)
     else:
         g_norm2 = np.linalg.norm(chans.g_intra, axis=1) ** 2
+        # the quantization error's direction depends on the trial only
+        e0 = _orthogonal_direction(w0_raw, h_dir) if n_t > 1 and pairs else None
         sinr_lf = []
         for policy, b_tot in pairs:
             alloc = _make_allocation(policy, b_tot, cluster, n_t, cfg, e_iout)
             if alloc.b0 >= 1 and n_t > 1:
                 z0 = float(feedback.sample_rvq_sin2(n_t, alloc.b0, u0))
-                e0 = _orthogonal_direction(w0_raw, h_dir)
                 h_hat = (math.sqrt(1.0 - z0) * h_dir
                          + math.sqrt(z0) * e0) if e0 is not None else h_dir
             elif n_t == 1:
@@ -239,13 +246,13 @@ def _worker_count():
         return 1
 
 
-def _run_range(cfg, pairs, e_iout, lo, hi):
+def _run_range(cfg, pairs, e_iout, tail, lo, hi):
     m = hi - lo
     out = np.empty((m, 3 + len(pairs)))
     rej = 0
     for i in range(m):
         rng = np.random.default_rng((cfg.seed, lo + i))
-        o = run_trial(cfg, rng, pairs, e_iout)
+        o = run_trial(cfg, rng, pairs, e_iout, tail)
         out[i, 0] = o.sinr_ic
         out[i, 1] = o.sinr_nic
         out[i, 2] = o.n_interferers
@@ -266,13 +273,16 @@ def collect_trials(cfg, pairs=()):
     e_iout = None
     if _needs_e_iout(pairs):
         e_iout = analysis.expected_iout(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
+    tail = _tail(cfg)
     workers = _worker_count()
     trials = cfg.trials
     if workers == 1:
-        blocks = [_run_range(cfg, pairs, e_iout, 0, trials)]
+        blocks = [_run_range(cfg, pairs, e_iout, tail, 0, trials)]
     else:
+        # loads multiprocessing, which a one-worker run never needs
+        from concurrent.futures import ProcessPoolExecutor
         step = max(64, -(-trials // (workers * 4)))
-        ranges = [(cfg, pairs, e_iout, lo, min(lo + step, trials))
+        ranges = [(cfg, pairs, e_iout, tail, lo, min(lo + step, trials))
                   for lo in range(0, trials, step)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_run_range_star, ranges))

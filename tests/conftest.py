@@ -1,6 +1,10 @@
 """Child interpreters that the tests start (`python -m clusternull.cli`,
 `python -c ...`) import the package from the same source tree as the tests
-themselves, so a plain `pytest` works from a checkout without an install."""
+themselves, so a plain `pytest` works from a checkout without an install.
+
+Trial collections run on 2 workers unless CLUSTER_SIM_THREADS is set:
+results are bit-identical for any worker count, and the longest tests are
+Monte Carlo collections that 2 workers shorten."""
 
 import os
 
@@ -8,6 +12,7 @@ import pytest
 
 import clusternull
 
+os.environ.setdefault("CLUSTER_SIM_THREADS", "2")
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(clusternull.__file__)))
 
 

@@ -31,16 +31,40 @@ def read_table(path):
     return meta, header, rows
 
 
-@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.spatial"])
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.spatial", "scipy",
+                                    "multiprocessing"])
 def test_cli_import_leaves_out_scipy_module(module):
     # only the scalar 2F1 oracle's quadrature fallback uses scipy.integrate,
-    # and it imports it on first use; the cell clip needs no scipy.spatial
+    # the cell clip needs no scipy.spatial, the analytic kernels import
+    # scipy.special on their first call and a collection imports the
+    # process pool only when it runs more than one worker
     r = subprocess.run([sys.executable, "-c",
                         "import sys, clusternull.cli; "
                         f"print({module!r} in sys.modules)"],
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("args,loaded", [
+    (["pmf-n", "--ratio", "3", "--max-n", "5"], ()),
+    (["sweep", "--mode", "mc", "--nt", "12", "--ratio-grid", "2,5",
+      "--strategy", "icin,nic,lf-adaptive", "--trials", "20"], ()),
+    (["coverage", "--mode", "analytic", "--dnt", "1", "--t-db", "0"],
+     ("scipy", "scipy.special")),
+], ids=["pmf-n", "sweep-mc", "coverage-analytic"])
+def test_command_imports_only_what_it_runs(tmp_path, args, loaded):
+    # a one-worker Monte Carlo run and the PMF never load scipy or
+    # multiprocessing; an analytic bound loads scipy.special at its first
+    # kernel call
+    code = ("import sys; from clusternull import cli; "
+            f"rc = cli.main({[*args, '--out', str(tmp_path / 'x.csv')]!r}); "
+            "print(rc, *(m for m in ('scipy', 'scipy.special', "
+            "'multiprocessing') if m in sys.modules))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=dict(os.environ, CLUSTER_SIM_THREADS="1"))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["0", *loaded]
 
 
 def test_parse_range():
@@ -140,11 +164,23 @@ def test_bad_config_exit_code(capsys):
                  ["sweep", "--mode", "mc", "--strategy", "nic,lf-adaptive,nic",
                   "--trials", "5", "--ratio-grid", "2"],
                  ["rate-loss", "--mode", "mc", "--policy", "adaptive,adaptive",
-                  "--trials", "5", "--btot-grid", "20"]):
+                  "--trials", "5", "--btot-grid", "20"],
+                 # flag values argparse cannot convert, and an unknown flag
+                 ["pmf-n", "--max-n", "4.5"],
+                 ["coverage", "--trials", "1e3"],
+                 ["coverage", "--mode", "mc", "--no-such-flag", "1"]):
         code, err = _main_stderr(capsys, args)
         assert code == cli.EXIT_CONFIG
         assert err.startswith("error: bad configuration")
         assert len(err.splitlines()) == 1
+
+
+def test_help_still_exits_zero(capsys):
+    # only parse errors become the one-line exit 2; --help prints and exits
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["pmf-n", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: clusternull pmf-n")
 
 
 def test_bound_domain_fails_before_any_trial(capsys, monkeypatch):
