@@ -29,6 +29,13 @@ outer quadratures run on the unit square/cube with smooth integrands.
 The reported error covers the inner per-node evaluation only (a round-off
 bound); the outer radius quadrature's error is not included.
 
+A coverage curve is one pass of the engine over its threshold grid: the
+order law and the radius nodes are computed once, the series run over a
+leading threshold axis in blocks of bounded size, and each threshold's
+reductions run on its own slice.  So every threshold is independent of
+the others: its value and error are the same, bit for bit, in any grid,
+and a single threshold is the grid of one.
+
 The adaptive rate-loss bound is the one value averaged over deployment
 draws rather than integrated: the draws that share an interferer count
 are evaluated as one batch, the losses are added in draw order, and the
@@ -266,12 +273,13 @@ def _exp_series(b):
 
 def _annulus_series(s, r0, r_big, alpha, n):
     """Series c_0..c_{n-1} of u -> the per-point transform at s (1-u) of one
-    interferer uniform on the annulus [r0, r_big]."""
-    s, r0, r_big = np.broadcast_arrays(np.asarray(s, dtype=float),
-                                       np.asarray(r0, dtype=float),
-                                       np.asarray(r_big, dtype=float))
-    c = np.empty(s.shape + (n,))
-    c[..., 0] = annulus_point_laplace(s, r0, r_big, alpha)
+    interferer uniform on the annulus [r0, r_big].  The inner-radius terms
+    are evaluated at the broadcast shape of (s, r0) only."""
+    r0 = np.asarray(r0, dtype=float)
+    r_big = np.asarray(r_big, dtype=float)
+    c0 = annulus_point_laplace(s, r0, r_big, alpha)
+    c = np.empty(c0.shape + (n,))
+    c[..., 0] = c0
     if n > 1:
         c[..., 1:] = 2.0 * (_excl_moments(r0, s, alpha, n)
                             - _excl_moments(r_big, s, alpha, n)) \
@@ -394,46 +402,76 @@ def _nulling_nodes(cfg, n_r0, n_rm):
     return r0s, w0, rms, wv
 
 
-def _coverage_lb_err(cfg, t, n_r0=None, n_rm=None, n_rM=None):
+# Thresholds pass through the coverage engine in blocks: a block holds as
+# many thresholds as keep its largest array, the single-cell Toeplitz stack
+# (n_r0 n_rM n^2 doubles per threshold) or else the outer series
+# (n_r0 n_rm n), within this many elements, and at least one threshold.
+# The kernels hold a few temporaries of that size, so a block's transient
+# memory stays within a few MB.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _coverage_lb_err(cfg, ts, n_r0=None, n_rm=None, n_rM=None):
+    """Coverage bound and its round-off bound at each linear threshold of the
+    1-D `ts`, as two arrays.
+
+    The order law and the radius nodes are computed once for the grid; the
+    series run over a leading threshold axis, and each threshold's
+    reductions run on its own slice, so a threshold's value and error do
+    not depend on the other thresholds of the grid."""
     order, single = _order_law(cfg)
-    if t <= 0.0:
+    ts = np.asarray(ts, dtype=float)
+    if np.any(ts <= 0.0):
         raise DomainError("threshold must be positive")
     n = len(order)
     n_r0, n_rm, n_rM = _node_counts(cfg, "coverage", n_r0, n_rm, n_rM)
     r0s, w0, rms, wv = _nulling_nodes(cfg, n_r0, n_rm)
-    s = t * (1.0 + r0s) ** cfg.alpha
-    b = _outer_log_series(s[:, None], rms, cfg, n)
-    p = _exp_series(b)
-    outer = np.einsum("ijk,j->ik", p, wv)
-    g = s[:, None] * (1.0 + rms) ** -cfg.alpha
-    outer_err = np.einsum("ijk,j->ik",
-                          _roundoff(p, b[..., :1], n, g[..., None]), wv)
-
+    big_l = (1.0 + r0s) ** cfg.alpha
+    g_rm = (1.0 + rms) ** -cfg.alpha
     # nulling: P[Gamma(order) > s Y] = sum_k P[order > k] p_k
     below = np.cumsum(order[::-1])[::-1]
-    total = float(w0 @ (outer @ below))
-    err = _EPS + float(w0 @ (outer_err @ below))
-
-    # single-cell branch: N >= n_t, desired power Gamma(n), plus the N
-    # intra-cluster interferers uniform on the annulus [r0, r_M]
+    size = n_r0 * n_rm * n
     if single is not None:
         rMs, ww = _rM_nodes_conditional(r0s[:, None], cfg.lambda_c, n_rM)
-        c = _annulus_series(s[:, None], r0s[:, None], rMs, cfg.alpha, n)
-        intra = np.einsum("ijk,j->ik", _power_mixture(c, single, n), ww)
-        branch = _ccdf_of_product(outer, intra)
-        total += float(w0 @ branch)
-        err += float(w0 @ (_ccdf_of_product(outer_err, intra)
-                           + branch * (n + len(single)) * _kernel_rel_err(t)))
+        size = max(size, n_r0 * n_rM * n * n)
+    step = max(1, _BLOCK_ELEMENTS // size)
 
-    return min(max(total, 0.0), 1.0), err
+    values = np.empty(len(ts))
+    errors = np.empty(len(ts))
+    for lo in range(0, len(ts), step):
+        block = ts[lo:lo + step]
+        s = block[:, None] * big_l                      # (T, n_r0)
+        b = _outer_log_series(s[..., None], rms, cfg, n)
+        p = _exp_series(b)
+        p_err = _roundoff(p, b[..., :1], n, (s[..., None] * g_rm)[..., None])
+        # single-cell branch: N >= n_t, desired power Gamma(n), plus the N
+        # intra-cluster interferers uniform on the annulus [r0, r_M]
+        if single is not None:
+            c = _annulus_series(s[..., None], r0s[:, None], rMs, cfg.alpha, n)
+            mixture = _power_mixture(c, single, n)
+
+        for i, t in enumerate(block):
+            outer = np.einsum("ijk,j->ik", p[i], wv)
+            outer_err = np.einsum("ijk,j->ik", p_err[i], wv)
+            total = float(w0 @ (outer @ below))
+            err = _EPS + float(w0 @ (outer_err @ below))
+            if single is not None:
+                intra = np.einsum("ijk,j->ik", mixture[i], ww)
+                branch = _ccdf_of_product(outer, intra)
+                total += float(w0 @ branch)
+                err += float(w0 @ (_ccdf_of_product(outer_err, intra)
+                                   + branch * (n + len(single)) * _kernel_rel_err(t)))
+            values[lo + i] = min(max(total, 0.0), 1.0)
+            errors[lo + i] = err
+    return values, errors
 
 
 def coverage_lb_ic(cfg, t, n_r0=None, n_rm=None, n_rM=None):
     """Coverage lower bound at linear threshold t under the coordination
     policy: per-cluster nulling (FollowN), or nulling when N < n_t and
     single-cell beamforming otherwise (FixedNt)."""
-    val, _ = _coverage_lb_err(cfg, t, n_r0, n_rm, n_rM)
-    return val
+    values, _ = _coverage_lb_err(cfg, [t], n_r0, n_rm, n_rM)
+    return float(values[0])
 
 
 def _outer_laplace(s, rms, wv, cfg):
@@ -649,12 +687,9 @@ def rate_loss_ub_adaptive(cfg, b_tots, geometry_trials=2000):
 # ---------------------------------------------------------------------------
 
 def coverage_curve(cfg, t_db_grid):
-    """Analytic coverage bound over a dB threshold grid.
+    """Analytic coverage bound over a dB threshold grid, in one pass of the
+    series engine.
 
     Returns (values, errors), one entry per threshold."""
-    xs = np.asarray(t_db_grid, dtype=float)
-    ys = np.empty_like(xs)
-    errs = np.empty_like(xs)
-    for i, t_db in enumerate(xs):
-        ys[i], errs[i] = _coverage_lb_err(cfg, 10.0 ** (t_db / 10.0))
-    return ys, errs
+    ts = [10.0 ** (t_db / 10.0) for t_db in np.asarray(t_db_grid, dtype=float)]
+    return _coverage_lb_err(cfg, ts)

@@ -9,8 +9,9 @@ can be replayed directly via --config.
 
 Exit codes: 0 success, 2 bad configuration (also a flag or flag value
 the parser rejects, and a value a bound finds outside its domain, such as
---nt 1, a bit budget that is not an integer >= 1, or a density ratio
-below 1), 4 a file could not be read or written,
+--nt 1, a bit budget that is not an integer >= 1, a density ratio
+below 1, or a grid value that is not finite, such as a threshold whose
+linear value overflows), 4 a file could not be read or written,
 5 any other package error while evaluating (for example no acceptable
 deployment realization within the sampler's attempt budget).
 Each failure prints one `error:` line on stderr.
@@ -55,6 +56,8 @@ def parse_range(text):
         if len(parts) != 3:
             raise ValueError(f"range must be start:step:stop, got {text!r}")
         start, step, stop = (float(p) for p in parts)
+        if not all(math.isfinite(x) for x in (start, step, stop)):
+            raise ValueError(f"range bounds must be finite, got {text!r}")
         if step <= 0:
             raise ValueError("range step must be positive")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -108,6 +111,16 @@ def _check_ratio(ratio):
     """A density ratio lambda_b / lambda_c that keeps 0 < lambda_c <= lambda_b."""
     if not 1.0 <= ratio < math.inf:
         raise ValueError(f"ratio must be finite and >= 1, got {ratio!r}")
+
+
+def _check_t_db(t_db):
+    """A dB threshold whose linear value 10^(t_db/10) is a finite float."""
+    try:
+        finite = math.isfinite(t_db) and math.isfinite(10.0 ** (t_db / 10.0))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"t_db must have a finite linear value, got {t_db!r}")
 
 
 def _check_budget(b_tot):
@@ -183,7 +196,7 @@ _RATE = Command(
 COMMANDS = {
     "coverage": Command(
         grid_key="t_db", grid_column="t_db", default_grid="-10:2:20",
-        value=lambda cfg, t_db: 10.0 ** (t_db / 10.0),
+        check_point=_check_t_db, value=lambda cfg, t_db: 10.0 ** (t_db / 10.0),
         estimate=lambda arrays, sinr, t: montecarlo.estimate_coverage(sinr, [t])[0],
         analytic={"icin": lambda cfg, grid: analysis.coverage_curve(cfg, grid)}),
     "rate": _RATE,
@@ -380,42 +393,40 @@ def build_parser():
                     "nulling in Poisson cellular networks")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", help="flat key=value file (a result CSV works)")
-        sp.add_argument("--mode", choices=["mc", "analytic", "both"])
-        sp.add_argument("--lambda-b", dest="lambda_b", type=float)
-        sp.add_argument("--ratio", type=float)
-        sp.add_argument("--alpha", type=float)
-        sp.add_argument("--snr-db", dest="snr_db", type=float)
-        sp.add_argument("--dnt", type=int, help="antennas follow N: n_t = N + dnt")
-        sp.add_argument("--nt", type=int, help="fixed antenna count (thresholding)")
-        sp.add_argument("--btot", type=int)
-        sp.add_argument("--trials", type=int)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--window-clusters", dest="window_clusters", type=float)
-        sp.add_argument("--out", help="output CSV path ('-' for stdout)")
+    common = _Parser(add_help=False)
+    common.add_argument("--config", help="flat key=value file (a result CSV works)")
+    common.add_argument("--mode", choices=["mc", "analytic", "both"])
+    common.add_argument("--lambda-b", dest="lambda_b", type=float)
+    common.add_argument("--ratio", type=float)
+    common.add_argument("--alpha", type=float)
+    common.add_argument("--snr-db", dest="snr_db", type=float)
+    common.add_argument("--dnt", type=int, help="antennas follow N: n_t = N + dnt")
+    common.add_argument("--nt", type=int, help="fixed antenna count (thresholding)")
+    common.add_argument("--btot", type=int)
+    common.add_argument("--trials", type=int)
+    common.add_argument("--seed", type=int)
+    common.add_argument("--window-clusters", dest="window_clusters", type=float)
+    common.add_argument("--out", help="output CSV path ('-' for stdout)")
 
-    sp = sub.add_parser("coverage", help="coverage vs SINR threshold")
-    common(sp)
+    sp = sub.add_parser("coverage", parents=[common], help="coverage vs SINR threshold")
     sp.add_argument("--t-db", dest="t_db", help="threshold grid, start:step:stop dB")
     sp.add_argument("--strategy", help="comma list: icin,nic,lf-adaptive,...")
 
-    sp = sub.add_parser("rate", help="average rate (optionally vs ratio grid)")
-    common(sp)
+    sp = sub.add_parser("rate", parents=[common],
+                        help="average rate (optionally vs ratio grid)")
     sp.add_argument("--ratio-grid", dest="ratio_grid", help="start:step:stop")
     sp.add_argument("--strategy")
 
-    sp = sub.add_parser("rate-loss", help="mean rate loss of limited feedback")
-    common(sp)
+    sp = sub.add_parser("rate-loss", parents=[common],
+                        help="mean rate loss of limited feedback")
     sp.add_argument("--btot-grid", dest="btot_grid", help="start:step:stop bits")
     sp.add_argument("--policy", help="comma list: adaptive,equal-bias,equal-nobias")
 
-    sp = sub.add_parser("pmf-n", help="interferer-count PMF")
-    common(sp)
+    sp = sub.add_parser("pmf-n", parents=[common], help="interferer-count PMF")
     sp.add_argument("--max-n", dest="max_n", type=int)
 
-    sp = sub.add_parser("sweep", help="rate vs cluster-size ratio, multi-strategy")
-    common(sp)
+    sp = sub.add_parser("sweep", parents=[common],
+                        help="rate vs cluster-size ratio, multi-strategy")
     sp.add_argument("--ratio-grid", dest="ratio_grid", help="start:step:stop")
     sp.add_argument("--strategy", help="comma list of series")
     return p

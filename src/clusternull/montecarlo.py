@@ -276,12 +276,13 @@ def collect_trials(cfg, pairs=()):
     tail = _tail(cfg)
     workers = _worker_count()
     trials = cfg.trials
-    if workers == 1:
+    step = max(64, -(-trials // (workers * 4)))
+    if workers == 1 or trials <= step:
+        # one range runs in process: a pool would add only its start-up
         blocks = [_run_range(cfg, pairs, e_iout, tail, 0, trials)]
     else:
-        # loads multiprocessing, which a one-worker run never needs
+        # loads multiprocessing, which a one-range run never needs
         from concurrent.futures import ProcessPoolExecutor
-        step = max(64, -(-trials // (workers * 4)))
         ranges = [(cfg, pairs, e_iout, tail, lo, min(lo + step, trials))
                   for lo in range(0, trials, step)]
         with ProcessPoolExecutor(max_workers=workers) as pool:

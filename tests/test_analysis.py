@@ -567,6 +567,57 @@ def test_thresholded_coverage_below_monte_carlo(n_t, ratio):
     assert lb <= est.mean + 2.0 * est.ci95_halfwidth, (lb, est)
 
 
+_GRID_DB = [-10.0 + 2.0 * i for i in range(16)] + [33.0, 47.5]
+
+
+@pytest.mark.parametrize("mode,ratio,nodes", [
+    (FollowN(1), 3.0, (None, None, None)),
+    (FollowN(5), 3.0, (6, 5, None)),
+    (FixedNt(12), 3.0, (None, None, None)),
+    (FixedNt(6), 6.0, (5, 4, 3)),
+], ids=["follow-1", "follow-5-nodes", "fixed-12", "fixed-6-nodes"])
+def test_coverage_curve_equals_thresholds_alone(monkeypatch, mode, ratio, nodes):
+    # one pass over the grid gives each threshold's value and error bit for
+    # bit as that threshold alone, in blocks of any size
+    cfg = SimConfig(lambda_b=LAM, lambda_c=LAM / ratio, alpha=4.0, snr_db=100.0,
+                    antenna_mode=mode)
+    ts = [10.0 ** (t_db / 10.0) for t_db in np.asarray(_GRID_DB)]
+    if nodes == (None, None, None):
+        values, errors = analysis.coverage_curve(cfg, _GRID_DB)
+    else:
+        values, errors = analysis._coverage_lb_err(cfg, ts, *nodes)
+    if isinstance(mode, FixedNt):
+        assert analysis._order_law(cfg)[1] is not None   # single-cell branch
+    for i, t in enumerate(ts):
+        value, error = analysis._coverage_lb_err(cfg, [t], *nodes)
+        assert values[i] == value[0] and errors[i] == error[0], i
+        assert analysis.coverage_lb_ic(cfg, t, *nodes) == values[i]
+    for budget in (1, 3 * analysis._BLOCK_ELEMENTS // 17, 1 << 30):
+        monkeypatch.setattr(analysis, "_BLOCK_ELEMENTS", budget)
+        blocked = analysis._coverage_lb_err(cfg, ts, *nodes)
+        assert np.array_equal(blocked[0], values)
+        assert np.array_equal(blocked[1], errors)
+
+
+def test_annulus_series_matches_broadcast_evaluation():
+    # the inner-radius terms at the (s, r0) shape equal their evaluation on
+    # the full (s, r0, r_big) broadcast
+    alpha, n = 4.0, 9
+    r0s, _ = analysis._r0_nodes(LAM, 6)
+    r_big, _ = analysis._rM_nodes_conditional(r0s[:, None], LAM / 3.0, 5)
+    s = np.array([0.3, 1.0, 40.0])[:, None, None] * (1.0 + r0s[:, None]) ** alpha
+    got = analysis._annulus_series(s, r0s[:, None], r_big, alpha, n)
+
+    s_b, r0_b, rb_b = np.broadcast_arrays(s, r0s[:, None], r_big)
+    want = np.empty(s_b.shape + (n,))
+    want[..., 0] = analysis.annulus_point_laplace(s_b, r0_b, rb_b, alpha)
+    want[..., 1:] = 2.0 * (analysis._excl_moments(r0_b, s_b, alpha, n)
+                           - analysis._excl_moments(rb_b, s_b, alpha, n)) \
+        / (rb_b * rb_b - r0_b * r0_b)[..., None]
+    assert got.shape == (3, 6, 5, n)
+    assert np.array_equal(got, want)
+
+
 def test_circumscribed_ccdf_bound_shape():
     # decreasing from 1, used as a CCDF after intensity scaling
     qs = np.linspace(0.0, 10.0, 200)

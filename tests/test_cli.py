@@ -37,7 +37,8 @@ def test_cli_import_leaves_out_scipy_module(module):
     # only the scalar 2F1 oracle's quadrature fallback uses scipy.integrate,
     # the cell clip needs no scipy.spatial, the analytic kernels import
     # scipy.special on their first call and a collection imports the
-    # process pool only when it runs more than one worker
+    # process pool only when it runs more than one range on more than one
+    # worker
     r = subprocess.run([sys.executable, "-c",
                         "import sys, clusternull.cli; "
                         f"print({module!r} in sys.modules)"],
@@ -73,6 +74,9 @@ def test_parse_range():
     assert cli.parse_range("1,3,6") == (1.0, 3.0, 6.0)
     with pytest.raises(ValueError):
         cli.parse_range("1:2")
+    for text in ("0:1:inf", "nan:1:3", "0:inf:3", "1:1:1e400"):
+        with pytest.raises(ValueError):
+            cli.parse_range(text)
 
 
 def test_pmf_command_normalizes(tmp_path):
@@ -165,6 +169,16 @@ def test_bad_config_exit_code(capsys):
                   "--trials", "5", "--ratio-grid", "2"],
                  ["rate-loss", "--mode", "mc", "--policy", "adaptive,adaptive",
                   "--trials", "5", "--btot-grid", "20"],
+                 # non-finite grid values and thresholds whose linear value
+                 # overflows
+                 ["coverage", "--mode", "analytic", "--dnt", "1", "--t-db", "4000"],
+                 ["coverage", "--mode", "analytic", "--dnt", "1", "--t-db", "0:1:inf"],
+                 ["coverage", "--mode", "analytic", "--dnt", "1", "--t-db", "nan"],
+                 ["coverage", "--mode", "analytic", "--dnt", "1", "--t-db", "inf"],
+                 ["coverage", "--mode", "mc", "--trials", "5", "--t-db=-inf"],
+                 ["rate-loss", "--mode", "analytic", "--btot-grid", "10:10:inf"],
+                 ["sweep", "--mode", "mc", "--trials", "5",
+                  "--ratio-grid", "1:1:1e400"],
                  # flag values argparse cannot convert, and an unknown flag
                  ["pmf-n", "--max-n", "4.5"],
                  ["coverage", "--trials", "1e3"],

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import subprocess
@@ -188,3 +189,21 @@ def test_multi_pair_collection_matches_single_pair_runs(monkeypatch, threads,
                 == montecarlo.estimate_rate_loss(one.sinr_ic, one.sinr_lf[:, 0]))
     with pytest.raises(ValueError):
         multi.lf("adaptive", 25)
+
+
+def test_single_range_runs_without_a_pool(monkeypatch):
+    # 40 trials form one range, which runs in process at any worker count
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single range started a process pool")
+
+    cfg = cfg_make(trials=40, seed=17)
+    pairs = (("adaptive", 24),)
+    monkeypatch.setenv("CLUSTER_SIM_THREADS", "1")
+    one = montecarlo.collect_trials(cfg, pairs)
+    monkeypatch.setenv("CLUSTER_SIM_THREADS", "2")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    two = montecarlo.collect_trials(cfg, pairs)
+    assert np.array_equal(two.sinr_ic, one.sinr_ic)
+    assert np.array_equal(two.sinr_nic, one.sinr_nic)
+    assert np.array_equal(two.sinr_lf, one.sinr_lf)
+    assert np.array_equal(two.n_interferers, one.n_interferers)
