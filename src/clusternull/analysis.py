@@ -595,10 +595,9 @@ def rate_loss_ub_equal(cfg, b_tot, bias=True):
     term_res = 0.0
     for n, p in enumerate(weights):
         n_t = n + d
-        share = b_tot // (n + 1)
-        b0 = b_tot - n * share if bias else share
+        b0, share = feedback.equal_split(b_tot, n, bias)
         if n_t > 1:
-            g1 = math.exp(specfun.ln_gamma(n_t / (n_t - 1.0)))
+            g1, _ = feedback.rvq_gammas(n_t)
             term_des += p * g1 * 2.0 ** (-b0 / (n_t - 1.0))
             term_res += p * n * feedback.rvq_mean_interference_stirling(n_t, share)
     return (_LOG2E * term_des - e_log
@@ -624,8 +623,7 @@ def rate_loss_adaptive_rows(rows, cfg, b_tot, e_iout, e_log):
     floor = e_iout + cfg.inv_snr
     b0, size, residual = feedback.adaptive_decision(
         rows, b_tot, n_t, cfg.alpha, e_iout, cfg.inv_snr)
-    g1 = math.exp(specfun.ln_gamma(n_t / (n_t - 1.0)))
-    g2 = math.exp(specfun.ln_gamma((2.0 * n_t - 1.0) / (n_t - 1.0)))
+    g1, g2 = feedback.rvq_gammas(n_t)
     gm = np.zeros(m)                    # product term over each effective set
     for k in set(size) - {0}:
         sel = np.equal(size, k)

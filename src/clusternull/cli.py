@@ -10,8 +10,9 @@ can be replayed directly via --config.
 Exit codes: 0 success, 2 bad configuration (also a flag or flag value
 the parser rejects, and a value a bound finds outside its domain, such as
 --nt 1, a bit budget that is not an integer >= 1, a density ratio
-below 1, or a grid value that is not finite, such as a threshold whose
-linear value overflows), 4 a file could not be read or written,
+below 1, a grid value that is not finite, such as a threshold whose
+linear value overflows, or a grid of more than MAX_GRID_POINTS points),
+4 a file could not be read or written,
 5 any other package error while evaluating (for example no acceptable
 deployment realization within the sampler's attempt budget).
 Each failure prints one `error:` line on stderr.
@@ -22,13 +23,15 @@ import math
 import sys
 from dataclasses import astuple, dataclass, field, replace
 
-from . import analysis, montecarlo
+from . import __version__, analysis, montecarlo
 from .errors import ClusterNullError, DomainError
 from .geometry import FixedNt, FollowN, SimConfig
 
 EXIT_CONFIG = 2
 EXIT_IO = 4
 EXIT_MODEL = 5
+
+MAX_GRID_POINTS = 10_000
 
 LF_STRATEGIES = {
     "lf-adaptive": "adaptive",
@@ -60,9 +63,25 @@ def parse_range(text):
             raise ValueError(f"range bounds must be finite, got {text!r}")
         if step <= 0:
             raise ValueError("range step must be positive")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return tuple(start + i * step for i in range(n))
+        last = (stop - start) / step + 1e-9      # inf for a subnormal step
+        _check_last_index(last, text)
+        # a descending range is empty
+        return tuple(start + i * step
+                     for i in range(math.floor(max(last, -1.0)) + 1))
     return tuple(float(p) for p in text.split(","))
+
+
+def _check_last_index(last, text):
+    """Rejects a grid 0..last of more than MAX_GRID_POINTS points before it
+    is built."""
+    if not last < MAX_GRID_POINTS:
+        raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+
+
+def _counts(max_n):
+    """pmf-n's grid 0..max_n."""
+    _check_last_index(int(max_n), max_n)
+    return tuple(range(int(max_n) + 1))
 
 
 def load_config(path):
@@ -218,7 +237,7 @@ COMMANDS = {
         grid_key="max_n", grid_column="n", default_grid="40",
         value=lambda cfg, n: analysis.pmf_n(n, cfg.ratio),
         series=lambda text, cfg, b_tot: (),
-        parse_grid=lambda max_n: tuple(range(int(max_n) + 1)),
+        parse_grid=_counts,
         grid_text=lambda grid: str(grid[-1]),
         value_column="pmf"),
 }
@@ -343,7 +362,7 @@ def _metadata(spec):
     command = COMMANDS[spec.command]
     meta = {
         "artifact": "clusternull",
-        "version": "0.1.0",
+        "version": __version__,
         "command": spec.command,
         "mode": spec.mode,
         "lambda_b": repr(cfg.lambda_b),

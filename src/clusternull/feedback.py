@@ -2,38 +2,21 @@
 quantization) distortion, its means, and equal/adaptive partitioning of the
 feedback budget across channels.
 
-The adaptive rule has one implementation, `adaptive_decision`, over a
-batch of same-size interferer-distance rows; `adaptive_allocation` is its
-one-row case plus the integer interferer shares.  Path losses and their
-prefix sums are array operations over the rows, and the closed forms run
-per row on Python floats, so a row's result does not depend on the batch
-it is in."""
+An allocation is a plain pair (b0, b_intra): the bits of the desired
+channel and the integer bits per interferer, aligned with the ascending
+interferer distances.  The adaptive rule has one implementation,
+`adaptive_decision`, over a batch of same-size interferer-distance rows;
+`adaptive_allocation` is its one-row case plus the integer interferer
+shares.  Path losses and their prefix sums are array operations over the
+rows, and the closed forms run per row on Python floats, so a row's result
+does not depend on the batch it is in."""
 
-import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import specfun
 from .errors import DomainError
-
-
-class Regime(enum.Enum):
-    DOMINANT_INTER_CLUSTER = "inter_cluster"
-    DOMINANT_RESIDUAL = "residual"
-
-
-@dataclass
-class BitAllocation:
-    b0: int                    # bits for the desired channel
-    b_intra: np.ndarray        # per-interferer bits, aligned with r_intra
-    effective_set: np.ndarray  # indices with positive real-valued shares
-    regime: Regime
-
-    @property
-    def total(self):
-        return self.b0 + int(self.b_intra.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -69,43 +52,39 @@ def rvq_mean_interference(n_t, bits):
     return n_t / (n_t - 1.0) * rvq_mean_sin2(n_t, bits)
 
 
+def rvq_gammas(n_t):
+    """(Gamma(n_t/(n_t-1)), Gamma((2n_t-1)/(n_t-1))) at n_t >= 2: the
+    constants of the Stirling-form RVQ means of the desired channel and of
+    an interferer."""
+    return (math.exp(specfun.ln_gamma(n_t / (n_t - 1.0))),
+            math.exp(specfun.ln_gamma((2.0 * n_t - 1.0) / (n_t - 1.0))))
+
+
 def rvq_mean_interference_stirling(n_t, bits):
     """Stirling form of the same mean: Gamma((2n_t-1)/(n_t-1)) 2^(-B/(n_t-1))."""
-    g = math.exp(specfun.ln_gamma((2.0 * n_t - 1.0) / (n_t - 1.0)))
-    return g * 2.0 ** (-bits / (n_t - 1.0))
+    return rvq_gammas(n_t)[1] * 2.0 ** (-bits / (n_t - 1.0))
 
 
 # ---------------------------------------------------------------------------
 # Bit partitioning
 # ---------------------------------------------------------------------------
 
-def equal_allocation(b_tot, n, bias=True):
-    """Near-equal split of b_tot across the desired channel and n interferers.
+def equal_split(b_tot, n, bias=True):
+    """Near-equal split of b_tot across the desired channel and n
+    interferers: (b0, share), each interferer receiving share bits.
 
     bias=True gives the division remainder to the desired channel; with
     bias=False the remainder is discarded.  When b_tot < n + 1 the share is
-    0 and no interferer is in the effective set.
+    0 and no interferer receives bits.
     """
     share = b_tot // (n + 1)
-    b_intra = np.full(n, share, dtype=int)
-    b0 = b_tot - n * share if bias else share
-    return BitAllocation(
-        b0=int(b0),
-        b_intra=b_intra,
-        effective_set=np.arange(n if share else 0),
-        regime=Regime.DOMINANT_INTER_CLUSTER,
-    )
+    return (b_tot - n * share if bias else share), share
 
 
-def effective_set(r_intra, b_i, n_t, alpha):
-    """Largest prefix (ascending distance) receiving positive bits."""
-    r_intra = np.asarray(r_intra, dtype=float)
-    if b_i <= 0 or len(r_intra) == 0:
-        return np.arange(0)
-    if n_t < 2:
-        raise DomainError("effective_set needs n_t >= 2")
-    log2_pl = alpha * np.log2(1.0 + r_intra[None, :])
-    return np.arange(_effective_sizes(log2_pl, [b_i], n_t, {})[0])
+def equal_allocation(b_tot, n, bias=True):
+    """The equal split as an allocation (b0, b_intra)."""
+    b0, share = equal_split(b_tot, n, bias)
+    return int(b0), np.full(n, share, dtype=int)
 
 
 def _effective_sizes(log2_pl, b_i, n_t, lhs):
@@ -183,8 +162,7 @@ def adaptive_decision(rows, b_tot, n_t, alpha, e_iout, inv_snr):
     b0 = [b_tot] * m
     sum_log2 = {k: np.add.reduce(log2_1r[:, :k], axis=1).tolist()
                 for k in set(sizes) - {0}}
-    gamma2 = math.exp(specfun.ln_gamma((2.0 * n_t - 1.0) / (n_t - 1.0)))
-    gamma1 = math.exp(specfun.ln_gamma(n_t / (n_t - 1.0)))
+    gamma1, gamma2 = rvq_gammas(n_t)
     for i, k in enumerate(sizes):
         if k == 0:
             continue
@@ -215,31 +193,29 @@ def adaptive_decision(rows, b_tot, n_t, alpha, e_iout, inv_snr):
 
 
 def adaptive_allocation(r_intra, b_tot, n_t, alpha, e_iout, inv_snr):
-    """Strength-aware split of b_tot (desired channel + effective interferers).
+    """Strength-aware split of b_tot (desired channel + effective
+    interferers) as an allocation (b0, b_intra).
 
-    `adaptive_decision` on the one row fixes b0, the effective set and the
-    regime.  Interferer bits follow the water-filling-style closed form on
-    the effective set, rounded by largest remainder so the budget binds
+    `adaptive_decision` on the one row fixes b0 and the effective set.
+    Interferer bits follow the water-filling-style closed form on the
+    effective set, rounded by largest remainder so the budget binds
     exactly.
     """
     r_intra = np.asarray(r_intra, dtype=float)
     n = len(r_intra)
     if b_tot < 1:
         raise DomainError(f"adaptive_allocation needs b_tot >= 1, got {b_tot}")
+    b_intra = np.zeros(n, dtype=int)
     if n == 0:
-        return BitAllocation(int(b_tot), np.zeros(0, dtype=int), np.arange(0),
-                             Regime.DOMINANT_INTER_CLUSTER)
+        return int(b_tot), b_intra
     if np.any(np.diff(r_intra) < 0):
         raise DomainError("r_intra must be sorted ascending")
 
-    (b0,), (kf,), (residual,) = adaptive_decision(
+    (b0,), (kf,), _ = adaptive_decision(
         r_intra[None, :], b_tot, n_t, alpha, e_iout, inv_snr)
-    b_intra = np.zeros(n, dtype=int)
     if kf:
         b_i = b_tot - b0
         log2_pl = -alpha * np.log2(1.0 + r_intra[:kf])
         shares = b_i / kf + (n_t - 1.0) * (log2_pl - log2_pl.mean())
         b_intra[:kf] = _integerize_largest_remainder(shares, b_i)
-    regime = (Regime.DOMINANT_RESIDUAL if residual
-              else Regime.DOMINANT_INTER_CLUSTER)
-    return BitAllocation(b0, b_intra, np.arange(kf), regime)
+    return b0, b_intra

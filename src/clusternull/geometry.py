@@ -36,6 +36,7 @@ import numpy as np
 from .errors import DegenerateRealizationError
 
 _GUARD_FRACTION = 0.9
+_INTERIOR_FRACTION = 0.7   # window share whose cluster stations are counted
 
 
 @dataclass(frozen=True)
@@ -229,7 +230,7 @@ def build_typical_cluster(net):
     )
 
 
-def typical_bs_cluster_counts(net, interior_fraction=0.7):
+def typical_bs_cluster_counts(net):
     """Interferer counts seen by every base station whose cluster station
     lies in the window interior.
 
@@ -245,7 +246,7 @@ def typical_bs_cluster_counts(net, interior_fraction=0.7):
     assoc = nearest_cluster(net.bs_points, net.cluster_points)
     members = np.bincount(assoc, minlength=len(net.cluster_points))
     station_r = np.hypot(*net.cluster_points.T)
-    interior = station_r <= interior_fraction * net.window_radius
+    interior = station_r <= _INTERIOR_FRACTION * net.window_radius
     peers = members[assoc] - 1
     return peers[interior[assoc]]
 

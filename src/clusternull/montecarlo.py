@@ -12,7 +12,9 @@ pair exactly across policies and budgets (common random numbers), a
 multi-pair collection equals the single-pair collections column for
 column, and results are bit-identical for any worker count.  A caller
 collects once and hands each estimator the SINR columns it reads:
-`sinr_ic`, `sinr_nic`, or `lf(policy, b_tot)` of a `TrialArrays`.
+`sinr_ic`, `sinr_nic`, or `lf(policy, b_tot)` of a `TrialArrays`.  A
+trial is one plain row of those columns, and a limited-feedback
+allocation the plain pair (b0, b_intra) that `feedback` returns.
 
 Every beamformer of a trial nulls the same directions, so the trial
 factors their basis once (`nulling_basis`, one QR and the collinearity
@@ -39,15 +41,6 @@ from .errors import RankDeficientError
 log = logging.getLogger(__name__)
 
 POLICIES = ("equal-bias", "equal-nobias", "adaptive")
-
-
-@dataclass
-class TrialOutcome:
-    sinr_ic: float                 # SINR under the coordination policy
-    sinr_nic: float                # SINR under unconditional beamforming
-    sinr_lf: tuple                 # limited-feedback SINR, one per (policy, b_tot)
-    n_interferers: int
-    rejections: int = 0
 
 
 @dataclass
@@ -113,6 +106,10 @@ def run_trial(cfg, rng, pairs=(), e_iout=None, tail=None):
     directions, no-coordination intra fading, then the limited-feedback
     draws; bit values only reweight the tape, so pairs share randomness.
     A collection passes the per-config constants e_iout and tail once.
+
+    Returns (row, rejections): the row in `TrialArrays` column order,
+    (sinr_ic, sinr_nic, n_interferers, *sinr_lf) with one limited-feedback
+    SINR per pair, and the realizations the sampler rejected first.
     """
     if e_iout is None and _needs_e_iout(pairs):
         e_iout = analysis.expected_iout(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
@@ -178,9 +175,10 @@ def _trial_from_cluster(cfg, cluster, rng, pairs, e_iout, tail, rejections):
         e0 = _orthogonal_direction(w0_raw, h_dir) if n_t > 1 and pairs else None
         sinr_lf = []
         for policy, b_tot in pairs:
-            alloc = _make_allocation(policy, b_tot, cluster, n_t, cfg, e_iout)
-            if alloc.b0 >= 1 and n_t > 1:
-                z0 = float(feedback.sample_rvq_sin2(n_t, alloc.b0, u0))
+            b0, b_intra = _make_allocation(policy, b_tot, cluster, n_t, cfg,
+                                           e_iout)
+            if b0 >= 1 and n_t > 1:
+                z0 = float(feedback.sample_rvq_sin2(n_t, b0, u0))
                 h_hat = (math.sqrt(1.0 - z0) * h_dir
                          + math.sqrt(z0) * e0) if e0 is not None else h_dir
             elif n_t == 1:
@@ -192,7 +190,7 @@ def _trial_from_cluster(cfg, cluster, rng, pairs, e_iout, tail, rejections):
 
             i_res = 0.0
             for ell in range(n):
-                bits = int(alloc.b_intra[ell])
+                bits = int(b_intra[ell])
                 if bits >= 1:
                     z = float(feedback.sample_rvq_sin2(n_t, bits, u_intra[ell]))
                     if n_t > 2:
@@ -206,13 +204,7 @@ def _trial_from_cluster(cfg, cluster, rng, pairs, e_iout, tail, rejections):
                     i_res += pl_intra[ell] * zero_bit_fading[ell]
             sinr_lf.append(float(des_lf / (i_out + i_res + inv_snr)))
 
-    return TrialOutcome(
-        sinr_ic=float(sinr_ic),
-        sinr_nic=float(sinr_nic),
-        sinr_lf=tuple(sinr_lf),
-        n_interferers=n,
-        rejections=rejections,
-    )
+    return (float(sinr_ic), float(sinr_nic), n, *sinr_lf), rejections
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +244,8 @@ def _run_range(cfg, pairs, e_iout, tail, lo, hi):
     rej = 0
     for i in range(m):
         rng = np.random.default_rng((cfg.seed, lo + i))
-        o = run_trial(cfg, rng, pairs, e_iout, tail)
-        out[i, 0] = o.sinr_ic
-        out[i, 1] = o.sinr_nic
-        out[i, 2] = o.n_interferers
-        out[i, 3:] = o.sinr_lf
-        rej += o.rejections
+        out[i], trial_rej = run_trial(cfg, rng, pairs, e_iout, tail)
+        rej += trial_rej
     return out, rej
 
 

@@ -386,45 +386,48 @@ def test_rate_loss_adaptive_realization_modes():
     e_iout, e_log = _loss_constants(cfg)
     r = np.array([0.4, 0.9, 1.8])
     (loss,) = analysis.rate_loss_adaptive_rows(r[None, :], cfg, 30, e_iout, e_log)
-    alloc = feedback.adaptive_allocation(r, 30, 3 + d_nt, cfg.alpha, e_iout,
-                                         cfg.inv_snr)
+    b0, b_intra = feedback.adaptive_allocation(r, 30, 3 + d_nt, cfg.alpha,
+                                               e_iout, cfg.inv_snr)
     assert np.isfinite(loss)
-    assert alloc.b0 + alloc.b_intra.sum() == 30
+    assert b0 + b_intra.sum() == 30
 
     # symmetric two-interferer instance at cell-scale distance: both in the
     # effective set with near-equal bits
     r2 = np.array([0.5, 0.5])
     (loss2,) = analysis.rate_loss_adaptive_rows(r2[None, :], cfg, 30, e_iout, e_log)
-    alloc2 = feedback.adaptive_allocation(r2, 30, 2 + d_nt, cfg.alpha, e_iout,
-                                          cfg.inv_snr)
-    assert len(alloc2.effective_set) == 2
-    assert abs(alloc2.b_intra[0] - alloc2.b_intra[1]) <= 1
+    _, b_intra2 = feedback.adaptive_allocation(r2, 30, 2 + d_nt, cfg.alpha,
+                                               e_iout, cfg.inv_snr)
+    _, (size2,), _ = feedback.adaptive_decision(r2[None, :], 30, 2 + d_nt,
+                                                cfg.alpha, e_iout, cfg.inv_snr)
+    assert size2 == 2
+    assert abs(b_intra2[0] - b_intra2[1]) <= 1
     assert np.isfinite(loss2)
 
 
 def per_draw_adaptive_loss(cluster, cfg, b_tot, e_iout, e_log):
     """Reference: one realization's adaptive loss from the per-trial
-    allocation, in scalar arithmetic.  Returns (loss, allocation)."""
+    allocation, in scalar arithmetic.  Returns (loss, effective-set size,
+    residual flag)."""
     n_t = cluster.n_interferers + cfg.antenna_mode.d_nt
-    alloc = feedback.adaptive_allocation(cluster.intra_dist, b_tot, n_t,
+    b0, _ = feedback.adaptive_allocation(cluster.intra_dist, b_tot, n_t,
                                          cfg.alpha, e_iout, cfg.inv_snr)
     floor = e_iout + cfg.inv_snr
     if n_t <= 1:
-        return 0.0, alloc
+        return 0.0, 0, False
+    _, (k,), (residual,) = feedback.adaptive_decision(
+        cluster.intra_dist[None, :], b_tot, n_t, cfg.alpha, e_iout, cfg.inv_snr)
     g1 = math.exp(specfun.ln_gamma(n_t / (n_t - 1.0)))
     g2 = math.exp(specfun.ln_gamma((2.0 * n_t - 1.0) / (n_t - 1.0)))
-    loss = LOG2E * g1 * 2.0 ** (-alloc.b0 / (n_t - 1.0)) - e_log
-    k = len(alloc.effective_set)
+    loss = LOG2E * g1 * 2.0 ** (-b0 / (n_t - 1.0)) - e_log
     if k == 0:
-        return loss + math.log2(floor), alloc
-    gm = float(np.prod((1.0 + cluster.intra_dist[alloc.effective_set])
-                       ** (-cfg.alpha / k)))
-    if alloc.regime is feedback.Regime.DOMINANT_RESIDUAL:
+        return loss + math.log2(floor), k, residual
+    gm = float(np.prod((1.0 + cluster.intra_dist[:k]) ** (-cfg.alpha / k)))
+    if residual:
         return loss + (math.log2(g2 * k * gm)
-                       + (alloc.b0 - b_tot) / (k * (n_t - 1.0))), alloc
-    b_i = b_tot - alloc.b0
+                       + (b0 - b_tot) / (k * (n_t - 1.0))), k, residual
+    b_i = b_tot - b0
     return loss + (math.log2(floor) + LOG2E * g2 / floor * k
-                   * 2.0 ** (-b_i / (k * (n_t - 1.0))) * gm), alloc
+                   * 2.0 ** (-b_i / (k * (n_t - 1.0))) * gm), k, residual
 
 
 def per_draw_adaptive_bound(cfg, budgets, draws):
@@ -439,11 +442,12 @@ def per_draw_adaptive_bound(cfg, budgets, draws):
         n = cluster.n_interferers
         seen |= {"n=0"} if n == 0 else {"n>=8"} if n >= 8 else set()
         for j, b_tot in enumerate(budgets):
-            loss, alloc = per_draw_adaptive_loss(cluster, cfg, b_tot, e_iout, e_log)
+            loss, k, residual = per_draw_adaptive_loss(cluster, cfg, b_tot,
+                                                       e_iout, e_log)
             losses[j].append(loss)
-            if n and len(alloc.effective_set) == 0:
+            if n and k == 0:
                 seen.add("empty set")
-            if alloc.regime is feedback.Regime.DOMINANT_RESIDUAL:
+            if residual:
                 seen.add("residual")
     values = []
     for row in losses:
@@ -555,16 +559,20 @@ def test_thresholded_coverage_curve_reports_finite_error():
     assert 0.0 < err < 2e-4
 
 
-@pytest.mark.parametrize("n_t,ratio", [(6, 3.0), (6, 6.0), (12, 3.0), (12, 6.0)])
+@pytest.mark.parametrize("n_t,ratio", [(6, 1.0), (6, 3.0), (6, 6.0),
+                                        (12, 1.0), (12, 3.0), (12, 6.0)])
 def test_thresholded_coverage_below_monte_carlo(n_t, ratio):
-    # the bound at 0 dB stays inside the Monte Carlo envelope of the same
-    # thresholding policy
+    # the coverage bound at 0 dB and the rate bound stay inside the Monte
+    # Carlo envelope of the same thresholding policy, on one collection
     cfg = SimConfig(lambda_b=LAM, lambda_c=LAM / ratio, alpha=4.0, snr_db=100.0,
                     antenna_mode=FixedNt(n_t), trials=2000, seed=41)
-    est = montecarlo.estimate_coverage(montecarlo.collect_trials(cfg).sinr_ic,
-                                       [1.0])[0]
+    sinr_ic = montecarlo.collect_trials(cfg).sinr_ic
+    est = montecarlo.estimate_coverage(sinr_ic, [1.0])[0]
     lb = analysis.coverage_lb_ic(cfg, 1.0)
     assert lb <= est.mean + 2.0 * est.ci95_halfwidth, (lb, est)
+    rate = montecarlo.estimate_rate(sinr_ic)
+    rate_lb = analysis.rate_lb_ic(cfg)
+    assert rate_lb <= rate.mean + 2.0 * rate.ci95_halfwidth, (rate_lb, rate)
 
 
 _GRID_DB = [-10.0 + 2.0 * i for i in range(16)] + [33.0, 47.5]

@@ -77,6 +77,10 @@ def test_parse_range():
     for text in ("0:1:inf", "nan:1:3", "0:inf:3", "1:1:1e400"):
         with pytest.raises(ValueError):
             cli.parse_range(text)
+    assert len(cli.parse_range("1:1:10000")) == cli.MAX_GRID_POINTS
+    with pytest.raises(ValueError):
+        cli.parse_range("1:1:10001")
+    assert cli.parse_range("1:5e-324:0") == ()     # descending: empty
 
 
 def test_pmf_command_normalizes(tmp_path):
@@ -179,6 +183,15 @@ def test_bad_config_exit_code(capsys):
                  ["rate-loss", "--mode", "analytic", "--btot-grid", "10:10:inf"],
                  ["sweep", "--mode", "mc", "--trials", "5",
                   "--ratio-grid", "1:1:1e400"],
+                 # grids of more than MAX_GRID_POINTS points, rejected
+                 # before they are built
+                 ["coverage", "--mode", "analytic", "--dnt", "1",
+                  "--t-db", "0:1e-6:1"],
+                 ["coverage", "--mode", "analytic", "--dnt", "1",
+                  "--t-db", "0:1e-15:1"],
+                 ["coverage", "--mode", "analytic", "--dnt", "1",
+                  "--t-db", "0:5e-324:1"],
+                 ["pmf-n", "--max-n", "1000000000000"],
                  # flag values argparse cannot convert, and an unknown flag
                  ["pmf-n", "--max-n", "4.5"],
                  ["coverage", "--trials", "1e3"],

@@ -4,20 +4,31 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from clusternull import specfun
+from clusternull import feedback, specfun
 from clusternull.channel import complex_gaussian
 from clusternull.errors import DomainError
 from clusternull.feedback import (
-    Regime,
     adaptive_allocation,
     adaptive_decision,
-    effective_set,
     equal_allocation,
     rvq_mean_interference,
     rvq_mean_interference_stirling,
     rvq_mean_sin2,
     sample_rvq_sin2,
 )
+
+
+def decision(r, b_tot, n_t, alpha, e_iout, inv_snr):
+    """`adaptive_decision` of one row: (b0, effective-set size, residual)."""
+    (b0,), (size,), (residual,) = adaptive_decision(
+        np.asarray(r, dtype=float)[None, :], b_tot, n_t, alpha, e_iout, inv_snr)
+    return b0, size, residual
+
+
+def effective_set(r, b_i, n_t, alpha):
+    """Largest prefix (ascending distance) receiving positive bits."""
+    log2_pl = alpha * np.log2(1.0 + np.asarray(r, dtype=float)[None, :])
+    return np.arange(feedback._effective_sizes(log2_pl, [b_i], n_t, {})[0])
 
 
 def iso_dir(rng, n_t):
@@ -113,25 +124,25 @@ def test_stirling_form_close_to_exact_mean():
 # ---------------------------------------------------------------------------
 
 def test_equal_allocation_examples():
-    a = equal_allocation(50, 3, bias=True)
-    assert list(a.b_intra) == [12, 12, 12] and a.b0 == 14
-    assert a.total == 50
+    b0, b_intra = equal_allocation(50, 3, bias=True)
+    assert list(b_intra) == [12, 12, 12] and b0 == 14
+    assert b0 + b_intra.sum() == 50
 
-    a = equal_allocation(50, 3, bias=False)
-    assert list(a.b_intra) == [12, 12, 12] and a.b0 == 12  # 2 bits discarded
-    assert a.total == 48
+    b0, b_intra = equal_allocation(50, 3, bias=False)
+    assert list(b_intra) == [12, 12, 12] and b0 == 12  # 2 bits discarded
+    assert b0 + b_intra.sum() == 48
 
-    a = equal_allocation(8, 7, bias=True)
-    assert list(a.b_intra) == [1] * 7 and a.b0 == 1
+    b0, b_intra = equal_allocation(8, 7, bias=True)
+    assert list(b_intra) == [1] * 7 and b0 == 1
 
     # below n + 1 bits every share is 0: the bias variant keeps the whole
     # budget on the desired channel, the no-bias variant discards it
-    a = equal_allocation(7, 7, bias=True)
-    assert list(a.b_intra) == [0] * 7 and a.b0 == 7
-    assert len(a.effective_set) == 0
-    a = equal_allocation(7, 7, bias=False)
-    assert list(a.b_intra) == [0] * 7 and a.b0 == 0
-    assert len(a.effective_set) == 0
+    b0, b_intra = equal_allocation(7, 7, bias=True)
+    assert list(b_intra) == [0] * 7 and b0 == 7
+    assert np.count_nonzero(b_intra) == 0      # no interferer has bits
+    b0, b_intra = equal_allocation(7, 7, bias=False)
+    assert list(b_intra) == [0] * 7 and b0 == 0
+    assert np.count_nonzero(b_intra) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +231,12 @@ def test_adaptive_allocation_budget_and_nonnegativity():
         r = np.sort(rng.uniform(0.2, 40.0, n))
         b_tot = int(rng.integers(4, 60))
         n_t = n + int(rng.integers(2, 8))
-        a = adaptive_allocation(r, b_tot, n_t, 4.0, e_iout=0.5, inv_snr=0.1)
-        assert a.b0 >= 0 and np.all(a.b_intra >= 0)
-        assert a.b0 + a.b_intra.sum() == b_tot
-        assert np.all(a.b_intra[[i for i in range(n) if i not in a.effective_set]] == 0)
+        b0, b_intra = adaptive_allocation(r, b_tot, n_t, 4.0, e_iout=0.5,
+                                          inv_snr=0.1)
+        assert b0 >= 0 and np.all(b_intra >= 0)
+        assert b0 + b_intra.sum() == b_tot
+        k = decision(r, b_tot, n_t, 4.0, 0.5, 0.1)[1] if n else 0
+        assert np.all(b_intra[k:] == 0)   # no bits beyond the effective set
 
 
 @pytest.mark.parametrize("n", [0, 2])
@@ -238,14 +251,14 @@ def test_adaptive_stronger_interferers_get_more_bits():
     for _ in range(100):
         n = int(rng.integers(2, 6))
         r = np.sort(rng.uniform(0.2, 20.0, n))
-        a = adaptive_allocation(r, 40, n + 4, 4.0, e_iout=0.5, inv_snr=0.1)
-        assert np.all(np.diff(a.b_intra) <= 0)
+        _, b_intra = adaptive_allocation(r, 40, n + 4, 4.0, e_iout=0.5,
+                                         inv_snr=0.1)
+        assert np.all(np.diff(b_intra) <= 0)
 
 
 def test_adaptive_symmetric_distances_near_equal_bits():
     r = np.full(4, 3.0)
-    a = adaptive_allocation(r, 37, 8, 4.0, e_iout=0.4, inv_snr=0.1)
-    bits = a.b_intra
+    _, bits = adaptive_allocation(r, 37, 8, 4.0, e_iout=0.4, inv_snr=0.1)
     assert bits.max() - bits.min() <= 1
 
 
@@ -257,11 +270,12 @@ def test_adaptive_matches_integer_oracle():
         r = np.sort(rng.uniform(0.3, 30.0, n))
         n_t = int(rng.choice([4, 6]))
         b_tot = int(rng.integers(n + 2, 20))
-        a = adaptive_allocation(r, b_tot, n_t, 4.0, e_iout=0.6, inv_snr=0.1)
-        b_i = b_tot - a.b0
+        b0, b_intra = adaptive_allocation(r, b_tot, n_t, 4.0, e_iout=0.6,
+                                          inv_snr=0.1)
+        b_i = b_tot - b0
         if b_i == 0 or b_i > 14:
             continue
-        got = eq22_objective(r, a.b_intra, n_t, 4.0)
+        got = eq22_objective(r, b_intra, n_t, 4.0)
         best = exhaustive_best(r, b_i, n_t, 4.0)
         assert got <= best * 1.05 + 1e-12
 
@@ -272,12 +286,12 @@ def test_result5_high_snr_b0_matches_scan():
     r = np.array([0.8, 1.1, 1.5])
     b_tot = 30
     e_iout, inv_snr = 1e-9, 1e-9  # force the residual-dominant branch
-    a = adaptive_allocation(r, b_tot, n_t, alpha, e_iout, inv_snr)
-    assert a.regime is Regime.DOMINANT_RESIDUAL
+    b0, _ = adaptive_allocation(r, b_tot, n_t, alpha, e_iout, inv_snr)
+    _, k, residual = decision(r, b_tot, n_t, alpha, e_iout, inv_snr)
+    assert residual
     g1 = math.gamma(n_t / (n_t - 1.0))
     g2 = math.gamma((2.0 * n_t - 1.0) / (n_t - 1.0))
-    k = len(a.effective_set)
-    gm = np.prod((1.0 + r[a.effective_set]) ** (-alpha / k))
+    gm = np.prod((1.0 + r[:k]) ** (-alpha / k))
 
     def high_snr_obj(b0):
         return (math.log2(math.e) * g1 * 2.0 ** (-b0 / (n_t - 1.0))
@@ -286,7 +300,7 @@ def test_result5_high_snr_b0_matches_scan():
     scan_best = min(range(b_tot + 1), key=high_snr_obj)
     # ceil-integerized stationary point lands on the scan optimum or its
     # floor neighbor (equal objective to rounding)
-    assert a.b0 in (scan_best, scan_best + 1)
+    assert b0 in (scan_best, scan_best + 1)
     # continuous stationary point: local optimality against +-1 perturbation
     b0_real = (n_t - 1.0) * math.log2(k * g1)
     assert high_snr_obj(b0_real) <= high_snr_obj(b0_real + 1.0) + 1e-12
@@ -322,11 +336,11 @@ def test_result4_continuous_b0_satisfies_am_gm_equality():
 
 def test_adaptive_equal_distances_match_equal_allocation():
     r = np.full(3, 2.5)
-    a = adaptive_allocation(r, 24, 7, 4.0, e_iout=0.5, inv_snr=0.1)
-    b_i = 24 - a.b0
-    if len(a.effective_set) == 3:
-        assert a.b_intra.max() - a.b_intra.min() <= 1
-        assert a.b_intra.sum() == b_i
+    b0, b_intra = adaptive_allocation(r, 24, 7, 4.0, e_iout=0.5, inv_snr=0.1)
+    b_i = 24 - b0
+    if decision(r, 24, 7, 4.0, 0.5, 0.1)[1] == 3:
+        assert b_intra.max() - b_intra.min() <= 1
+        assert b_intra.sum() == b_i
 
 
 @pytest.mark.parametrize("n", [3, 9])
