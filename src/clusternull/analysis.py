@@ -68,24 +68,35 @@ def pmf_n(n, ratio):
     return math.exp(ln_p)
 
 
-def pmf_weights(ratio, tail=1e-8):
-    """pmf values 0..n_max where the cumulative mass reaches 1 - tail.
+_PMF_TAIL = 1e-8          # count-law mass the weights may leave out
+# Longest pmf search, about ratio 5000: a bound mixes one term per count,
+# so its work grows linearly with the ratio.
+_PMF_MAX_TERMS = 100_000
+
+
+def pmf_weights(ratio):
+    """pmf values 0..n_max where the cumulative mass reaches 1 - _PMF_TAIL.
 
     The count is negative binomial with shape 4.5 and mean (9/7) ratio, so
     the search runs to its mean plus 30 standard deviations, past the
-    1e-12 quantile at any ratio; DomainError if the mass still falls short.
+    1e-12 quantile at any ratio; DomainError if that search would run past
+    _PMF_MAX_TERMS terms, or if the mass still falls short.
     """
     mean = 4.5 * ratio / 3.5
     sd = math.sqrt(mean * (ratio + 3.5) / 3.5)
+    reach = mean + 30.0 * sd
+    if not reach + 100 <= _PMF_MAX_TERMS:
+        raise DomainError(f"the interferer-count law at ratio {ratio!r} needs "
+                          f"more than {_PMF_MAX_TERMS} terms")
     out = []
     cum = 0.0
-    for n in range(int(mean + 30.0 * sd) + 100):
+    for n in range(int(reach) + 100):
         p = pmf_n(n, ratio)
         out.append(p)
         cum += p
-        if cum >= 1.0 - tail:
+        if cum >= 1.0 - _PMF_TAIL:
             return np.asarray(out)
-    raise DomainError(f"pmf mass {cum!r} short of 1 - {tail:g} at ratio {ratio!r}")
+    raise DomainError(f"pmf mass {cum!r} short of 1 - {_PMF_TAIL:g} at ratio {ratio!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -159,17 +170,16 @@ def _gl01(n):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _r0_nodes(lambda_b, n):
+def _beyond_nodes(r, density, n):
+    """Nodes (last axis, r broadcast against it) and weights of the nearest
+    point beyond r of a Poisson process of the given density, its CCDF
+    exp(-pi density (x^2 - r^2)) mapped to the unit interval.
+
+    r = 0 at lambda_b gives the serving distance r0, and r0 at 4 lambda_c
+    the inscribed radius r_m > r0 (half the nearest-neighbour distance of
+    the cluster stations)."""
     u, w = _gl01(n)
-    r0 = np.sqrt(-np.log(u) / (math.pi * lambda_b))
-    return r0, w
-
-
-def _rm_nodes_conditional(r0, lambda_c, n):
-    """Inscribed-radius nodes conditioned on r_m > r0 (CCDF-mapped)."""
-    v, w = _gl01(n)
-    rm = np.sqrt(r0 * r0 - np.log(v) / (4.0 * math.pi * lambda_c))
-    return rm, w
+    return np.sqrt(r * r - np.log(u) / (math.pi * density)), w
 
 
 def _circum_ccdf_q(q):
@@ -397,8 +407,8 @@ def _node_counts(cfg, bound, *counts):
 def _nulling_nodes(cfg, n_r0, n_rm):
     """Serving-distance nodes r0 (n_r0,) with weights, and the conditional
     inscribed-radius nodes r_m (n_r0, n_rm) with their shared weights."""
-    r0s, w0 = _r0_nodes(cfg.lambda_b, n_r0)
-    rms, wv = _rm_nodes_conditional(r0s[:, None], cfg.lambda_c, n_rm)
+    r0s, w0 = _beyond_nodes(0.0, cfg.lambda_b, n_r0)
+    rms, wv = _beyond_nodes(r0s[:, None], 4.0 * cfg.lambda_c, n_rm)
     return r0s, w0, rms, wv
 
 
@@ -522,10 +532,10 @@ def expected_iout(lambda_b, lambda_c, alpha):
     """Campbell mean of the inter-cluster interference."""
     if alpha <= 2.0:
         raise DomainError("alpha must exceed 2")
-    r0s, w0 = _r0_nodes(lambda_b, _IOUT_NODES)
+    r0s, w0 = _beyond_nodes(0.0, lambda_b, _IOUT_NODES)
     mean = 0.0
     for r0, wu in zip(r0s, w0):
-        rms, wv = _rm_nodes_conditional(r0, lambda_c, _IOUT_NODES)
+        rms, wv = _beyond_nodes(r0, 4.0 * lambda_c, _IOUT_NODES)
         d = np.maximum(rms - r0, 0.0)
         mean += wu * float(np.dot(wv, mean_tail_interference(d, lambda_b, alpha)))
     return mean
@@ -540,8 +550,8 @@ def expected_log2_iout_plus(lambda_b, lambda_c, alpha, c):
     """
     if alpha <= 2.0:
         raise DomainError("alpha must exceed 2")
-    r0s, w0 = _r0_nodes(lambda_b, _IOUT_NODES)
-    rms, wv = _rm_nodes_conditional(r0s[:, None], lambda_c, _IOUT_NODES)
+    r0s, w0 = _beyond_nodes(0.0, lambda_b, _IOUT_NODES)
+    rms, wv = _beyond_nodes(r0s[:, None], 4.0 * lambda_c, _IOUT_NODES)
     excl = np.maximum(rms - r0s[:, None], 0.0)
     scale = 2.0 * math.pi * lambda_b
 
@@ -565,11 +575,10 @@ def _require_follow(cfg):
 def expected_nearest_pathloss(lambda_b, alpha):
     """E{(1+r_{0,1})^-alpha} for the nearest interferer beyond the serving
     distance: Rayleigh nearest-point density conditioned on r > r0."""
-    r0s, w0 = _r0_nodes(lambda_b, _IOUT_NODES)
-    t, wt = _gl01(_IOUT_NODES)
+    r0s, w0 = _beyond_nodes(0.0, lambda_b, _IOUT_NODES)
     total = 0.0
     for r0, wu in zip(r0s, w0):
-        r = np.sqrt(r0 * r0 - np.log(t) / (math.pi * lambda_b))
+        r, wt = _beyond_nodes(r0, lambda_b, _IOUT_NODES)
         total += wu * float(np.dot(wt, (1.0 + r) ** (-alpha)))
     return total
 
@@ -604,22 +613,25 @@ def rate_loss_ub_equal(cfg, b_tot, bias=True):
             + math.log2(cfg.inv_snr + e_iout + term_res * e_near))
 
 
-def rate_loss_adaptive_rows(rows, cfg, b_tot, e_iout, e_log):
+def rate_loss_adaptive_rows(rows, cfg, b_tot):
     """Per-realization rate-loss bound at the adaptive integer allocation
     of b_tot bits, for each row of `rows`: the ascending intra-cluster
     distances of realizations that share one interferer count n, shape
     (m, n).
 
     Returns the m losses.  The low-/high-SNR form is selected by each row's
-    regime flag.  `e_iout` is E{I_out} and `e_log` is
-    E{log2(I_out + 1/SNR)}, both computed once per configuration.  The
-    closed form runs per row on Python floats, whose powers and logarithms
-    are the C library's, so a row's loss does not depend on its batch.
+    regime flag.  E{I_out} and E{log2(I_out + 1/SNR)} come from their
+    per-config caches.  The closed form runs per row on Python floats,
+    whose powers and logarithms are the C library's, so a row's loss does
+    not depend on its batch.
     """
     m, n = rows.shape
     n_t = n + _require_follow(cfg)
     if n_t <= 1:
         return np.zeros(m)
+    e_iout = expected_iout(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
+    e_log = expected_log2_iout_plus(cfg.lambda_b, cfg.lambda_c, cfg.alpha,
+                                    cfg.inv_snr)
     floor = e_iout + cfg.inv_snr
     b0, size, residual = feedback.adaptive_decision(
         rows, b_tot, n_t, cfg.alpha, e_iout, cfg.inv_snr)
@@ -658,9 +670,6 @@ def rate_loss_ub_adaptive(cfg, b_tots, geometry_trials=2000):
     """
     _require_follow(cfg)
     budgets = [int(b) for b in b_tots]
-    e_iout = expected_iout(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
-    e_log = expected_log2_iout_plus(cfg.lambda_b, cfg.lambda_c, cfg.alpha,
-                                    cfg.inv_snr)
     by_count = {}                       # n -> (draw indices, distance rows)
     for i in range(geometry_trials):
         rng = np.random.default_rng((cfg.seed, 104729, i))
@@ -672,8 +681,7 @@ def rate_loss_ub_adaptive(cfg, b_tots, geometry_trials=2000):
     for n, (draws, rows) in by_count.items():
         stacked = np.array(rows).reshape(len(draws), n)
         for j, b_tot in enumerate(budgets):
-            losses[j, draws] = rate_loss_adaptive_rows(stacked, cfg, b_tot,
-                                                       e_iout, e_log)
+            losses[j, draws] = rate_loss_adaptive_rows(stacked, cfg, b_tot)
     # a running sum adds in draw order (np.sum would add pairwise)
     values = losses.cumsum(axis=1)[:, -1] / geometry_trials
     errors = losses.std(axis=1, ddof=1) / math.sqrt(geometry_trials)

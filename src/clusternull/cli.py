@@ -11,7 +11,10 @@ Exit codes: 0 success, 2 bad configuration (also a flag or flag value
 the parser rejects, and a value a bound finds outside its domain, such as
 --nt 1, a bit budget that is not an integer >= 1, a density ratio
 below 1, a grid value that is not finite, such as a threshold whose
-linear value overflows, or a grid of more than MAX_GRID_POINTS points),
+linear value overflows, a grid of more than MAX_GRID_POINTS points, a
+model value SimConfig rejects, such as a non-finite alpha or a negative
+seed, or work past a cap: a sampling window of too many base stations
+or an interferer-count law of too many terms),
 4 a file could not be read or written,
 5 any other package error while evaluating (for example no acceptable
 deployment realization within the sampler's attempt budget).
@@ -21,7 +24,7 @@ Each failure prints one `error:` line on stderr.
 import argparse
 import math
 import sys
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from . import __version__, analysis, montecarlo
 from .errors import ClusterNullError, DomainError
@@ -330,15 +333,14 @@ def run(spec):
     bounds = {s: command.analytic[s](spec.cfg, grid)
               for s in series if want_an and s in command.analytic}
     cfgs = [command.config_at(spec.cfg, g) for g in grid]
-    keys = [astuple(cfg) for cfg in cfgs]       # SimConfig is unhashable
     pairs = [[command.pair(s, g, spec.b_tot) for s in series] for g in grid]
     # one collection per distinct config serves every cell of it;
     # montecarlo drops the repeated pairs
     wanted = {}
-    for key, cfg, point_pairs in zip(keys, cfgs, pairs):
-        wanted.setdefault(key, (cfg, []))[1].extend(p for p in point_pairs if p)
-    collections = {key: montecarlo.collect_trials(cfg, cfg_pairs)
-                   for key, (cfg, cfg_pairs) in wanted.items() if want_mc}
+    for cfg, point_pairs in zip(cfgs, pairs):
+        wanted.setdefault(cfg, []).extend(p for p in point_pairs if p)
+    collections = {cfg: montecarlo.collect_trials(cfg, cfg_pairs)
+                   for cfg, cfg_pairs in wanted.items() if want_mc}
 
     rows = []
     for i, point in enumerate(grid):
@@ -347,7 +349,7 @@ def run(spec):
         for s, pair in zip(series, pairs[i]):
             mc_mean = mc_ci = an_val = an_err = None
             if want_mc:
-                trials = collections[keys[i]]
+                trials = collections[cfgs[i]]
                 est = command.estimate(trials, _column(trials, s, pair), value)
                 mc_mean, mc_ci = est.mean, est.ci95_halfwidth
             if s in bounds:

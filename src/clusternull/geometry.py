@@ -33,10 +33,15 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DegenerateRealizationError
+from .errors import DegenerateRealizationError, DomainError
 
 _GUARD_FRACTION = 0.9
 _INTERIOR_FRACTION = 0.7   # window share whose cluster stations are counted
+# Most base stations a window may hold on average (window_cluster_count x
+# ratio; 100 000 is ratio 1000 at the default window).  A trial's channel
+# matrices grow with the square of the cluster size, which grows with the
+# ratio: ratio 2e5 asks for about 900 GiB.
+_MAX_WINDOW_STATIONS = 1e5
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,7 @@ class FixedNt:
 AntennaMode = Union[FollowN, FixedNt]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     lambda_b: float = 1.0
     lambda_c: float = 1.0 / 3.0
@@ -68,12 +73,22 @@ class SimConfig:
     window_cluster_count: float = 100.0
 
     def __post_init__(self):
-        if not 0.0 < self.lambda_c <= self.lambda_b:
-            raise ValueError("requires 0 < lambda_c <= lambda_b")
-        if self.alpha <= 2.0:
-            raise ValueError("requires alpha > 2 for integrable interference")
+        if not 0.0 < self.lambda_c <= self.lambda_b < math.inf:
+            raise ValueError("requires 0 < lambda_c <= lambda_b < inf")
+        if not 2.0 < self.alpha < math.inf:
+            raise ValueError("requires a finite alpha > 2 for integrable interference")
+        try:
+            noise = self.inv_snr
+        except OverflowError:
+            noise = math.inf
+        if not math.isfinite(noise):
+            # snr_db = +inf, the noise-free limit, has noise 0 and passes
+            raise ValueError(f"requires an snr_db whose noise power "
+                             f"10^(-snr_db/10) is finite, got {self.snr_db!r}")
         if self.trials < 1:
             raise ValueError("requires trials >= 1")
+        if self.seed < 0:
+            raise ValueError(f"requires seed >= 0, got {self.seed!r}")
         mode = self.antenna_mode
         if (mode.d_nt if isinstance(mode, FollowN) else mode.n_t) < 1:
             raise ValueError(f"requires dnt >= 1 and nt >= 1, got {mode}")
@@ -125,10 +140,18 @@ def _uniform_disk(rng, count, radius):
 
 def sample_realization(cfg, rng):
     """One deployment: Poisson counts on the disk window, then uniform
-    base-station and cluster-station positions."""
+    base-station and cluster-station positions.  DomainError, before any
+    draw, if the window holds more than _MAX_WINDOW_STATIONS base stations
+    on average."""
     radius = cfg.window_radius
     area = math.pi * radius * radius
-    n_b = rng.poisson(cfg.lambda_b * area)
+    mean_b = cfg.lambda_b * area
+    if not mean_b <= _MAX_WINDOW_STATIONS:
+        raise DomainError(
+            f"the window holds {mean_b:.3g} base stations on average "
+            f"(window_cluster_count x ratio), over the {_MAX_WINDOW_STATIONS:g} "
+            "a realization may sample")
+    n_b = rng.poisson(mean_b)
     n_c = rng.poisson(cfg.lambda_c * area)
     bs = _uniform_disk(rng, n_b, radius)
     clusters = _uniform_disk(rng, n_c, radius)

@@ -16,6 +16,12 @@ collects once and hands each estimator the SINR columns it reads:
 trial is one plain row of those columns, and a limited-feedback
 allocation the plain pair (b0, b_intra) that `feedback` returns.
 
+A trial is a function of (cfg, rng, pairs) alone.  It reads two
+per-config constants, the Campbell mean of the interference beyond the
+window and the adaptive policy's E{I_out}, straight from `analysis`
+(which caches the latter per config), so a collection passes nothing to
+its trials but the config and the pairs.
+
 Every beamformer of a trial nulls the same directions, so the trial
 factors their basis once (`nulling_basis`, one QR and the collinearity
 check) and each beamformer only projects onto it.  A collinear direction
@@ -66,12 +72,13 @@ def _orthogonal_direction(raw, unit):
     return resid / norm
 
 
-def _make_allocation(policy, b_tot, cluster, n_t, cfg, e_iout):
+def _make_allocation(policy, b_tot, cluster, n_t, cfg):
     if policy == "equal-bias":
         return feedback.equal_allocation(b_tot, cluster.n_interferers, True)
     if policy == "equal-nobias":
         return feedback.equal_allocation(b_tot, cluster.n_interferers, False)
     if policy == "adaptive":
+        e_iout = analysis.expected_iout(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
         return feedback.adaptive_allocation(
             cluster.intra_dist, b_tot, n_t, cfg.alpha, e_iout, cfg.inv_snr)
     raise ValueError(f"unknown policy {policy!r}")
@@ -86,10 +93,6 @@ def _check_pairs(pairs):
     return out
 
 
-def _needs_e_iout(pairs):
-    return any(policy == "adaptive" for policy, _ in pairs)
-
-
 def _tail(cfg):
     """Campbell mean of the interference from beyond the sampling window;
     the truncated tail's standard deviation is negligible at the default
@@ -98,42 +101,37 @@ def _tail(cfg):
                                            cfg.alpha)
 
 
-def run_trial(cfg, rng, pairs=(), e_iout=None, tail=None):
+def run_trial(cfg, rng, pairs=()):
     """One accepted realization evaluated under every strategy and every
     limited-feedback (policy, b_tot) pair.
 
     The random tape per trial is: geometry, channel set, nulling-constraint
     directions, no-coordination intra fading, then the limited-feedback
     draws; bit values only reweight the tape, so pairs share randomness.
-    A collection passes the per-config constants e_iout and tail once.
+    Its per-config constants come from `analysis`, so a lone trial on
+    default_rng((cfg.seed, i)) equals row i of a collection.
 
     Returns (row, rejections): the row in `TrialArrays` column order,
     (sinr_ic, sinr_nic, n_interferers, *sinr_lf) with one limited-feedback
     SINR per pair, and the realizations the sampler rejected first.
     """
-    if e_iout is None and _needs_e_iout(pairs):
-        e_iout = analysis.expected_iout(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
-    if tail is None:
-        tail = _tail(cfg)
     for _ in range(64):
         cluster, rejections = geometry.sample_typical_cluster(cfg, rng)
         try:
-            return _trial_from_cluster(cfg, cluster, rng, pairs, e_iout,
-                                       tail, rejections)
+            return _trial_from_cluster(cfg, cluster, rng, pairs, rejections)
         except RankDeficientError:
             log.warning("rank-deficient nulling matrix; resampling realization")
             continue
     raise RankDeficientError("persistent rank deficiency; check configuration")
 
 
-def _trial_from_cluster(cfg, cluster, rng, pairs, e_iout, tail, rejections):
+def _trial_from_cluster(cfg, cluster, rng, pairs, rejections):
     n = cluster.n_interferers
     mode = cfg.antenna_mode
     if isinstance(mode, geometry.FollowN):
         n_t = n + mode.d_nt
     else:
         n_t = mode.n_t
-    feasible = n < n_t
 
     chans = sample_channels(n_t, n, len(cluster.out_dist), rng)
     null_raw = complex_gaussian(rng, n, n_t)
@@ -148,63 +146,61 @@ def _trial_from_cluster(cfg, cluster, rng, pairs, e_iout, tail, rejections):
     l0 = float(path_loss(cluster.r0, cfg.alpha))
     pl_intra = 1.0 / path_loss(cluster.intra_dist, cfg.alpha)
     pl_out = 1.0 / path_loss(cluster.out_dist, cfg.alpha)
-    i_out = float(pl_out @ chans.out_fading) + tail
+    i_out = float(pl_out @ chans.out_fading) + _tail(cfg)
 
     norm_h = float(np.linalg.norm(chans.h0))
     sinr_nic = (norm_h ** 2 / l0) / (i_out + float(pl_intra @ nic_fading)
                                      + inv_snr)
 
-    if feasible:
-        h_dir = chans.h0 / norm_h
-        if n > 0:
-            basis = nulling_basis(
-                null_raw / np.linalg.norm(null_raw, axis=1, keepdims=True))
-            f0 = zf_null_beamformer(h_dir, basis)
+    if n >= n_t:
+        # single cell: nulling is infeasible, so every strategy beamforms
+        # toward the user as the uncoordinated one does
+        return (sinr_nic, sinr_nic, n, *(sinr_nic for _ in pairs)), rejections
+
+    h_dir = chans.h0 / norm_h
+    if n > 0:
+        basis = nulling_basis(
+            null_raw / np.linalg.norm(null_raw, axis=1, keepdims=True))
+        f0 = zf_null_beamformer(h_dir, basis)
+    else:
+        f0 = h_dir
+    des_ic = abs(chans.h0.conj() @ f0) ** 2 / l0
+    sinr_ic = des_ic / (i_out + inv_snr)
+
+    g_norm2 = np.linalg.norm(chans.g_intra, axis=1) ** 2
+    # the quantization error's direction depends on the trial only
+    e0 = _orthogonal_direction(w0_raw, h_dir) if n_t > 1 and pairs else None
+    sinr_lf = []
+    for policy, b_tot in pairs:
+        b0, b_intra = _make_allocation(policy, b_tot, cluster, n_t, cfg)
+        if b0 >= 1 and n_t > 1:
+            z0 = float(feedback.sample_rvq_sin2(n_t, b0, u0))
+            h_hat = (math.sqrt(1.0 - z0) * h_dir
+                     + math.sqrt(z0) * e0) if e0 is not None else h_dir
+        elif n_t == 1:
+            h_hat = h_dir
         else:
-            f0 = h_dir
-        des_ic = abs(chans.h0.conj() @ f0) ** 2 / l0
-        sinr_ic = des_ic / (i_out + inv_snr)
-    else:
-        sinr_ic = sinr_nic
+            h_hat = w0_raw / np.linalg.norm(w0_raw)
+        f0_hat = zf_null_beamformer(h_hat, basis) if n > 0 else h_hat
+        des_lf = abs(chans.h0.conj() @ f0_hat) ** 2 / l0
 
-    if not feasible:
-        sinr_lf = tuple(float(sinr_nic) for _ in pairs)
-    else:
-        g_norm2 = np.linalg.norm(chans.g_intra, axis=1) ** 2
-        # the quantization error's direction depends on the trial only
-        e0 = _orthogonal_direction(w0_raw, h_dir) if n_t > 1 and pairs else None
-        sinr_lf = []
-        for policy, b_tot in pairs:
-            b0, b_intra = _make_allocation(policy, b_tot, cluster, n_t, cfg,
-                                           e_iout)
-            if b0 >= 1 and n_t > 1:
-                z0 = float(feedback.sample_rvq_sin2(n_t, b0, u0))
-                h_hat = (math.sqrt(1.0 - z0) * h_dir
-                         + math.sqrt(z0) * e0) if e0 is not None else h_dir
-            elif n_t == 1:
-                h_hat = h_dir
-            else:
-                h_hat = w0_raw / np.linalg.norm(w0_raw)
-            f0_hat = zf_null_beamformer(h_hat, basis) if n > 0 else h_hat
-            des_lf = abs(chans.h0.conj() @ f0_hat) ** 2 / l0
-
-            i_res = 0.0
-            for ell in range(n):
-                bits = int(b_intra[ell])
-                if bits >= 1:
-                    z = float(feedback.sample_rvq_sin2(n_t, bits, u_intra[ell]))
-                    if n_t > 2:
-                        y = 1.0 - y_intra[ell] ** (1.0 / (n_t - 2))
-                    else:
-                        y = 1.0
-                    i_res += pl_intra[ell] * g_norm2[ell] * z * y
+        i_res = 0.0
+        for ell in range(n):
+            bits = int(b_intra[ell])
+            if bits >= 1:
+                z = float(feedback.sample_rvq_sin2(n_t, bits, u_intra[ell]))
+                if n_t > 2:
+                    y = 1.0 - y_intra[ell] ** (1.0 / (n_t - 2))
                 else:
-                    # no bits fed back: that station nulls nothing toward the
-                    # user, so the effective fading is plain Exp(1)
-                    i_res += pl_intra[ell] * zero_bit_fading[ell]
-            sinr_lf.append(float(des_lf / (i_out + i_res + inv_snr)))
+                    y = 1.0
+                i_res += pl_intra[ell] * g_norm2[ell] * z * y
+            else:
+                # no bits fed back: that station nulls nothing toward the
+                # user, so the effective fading is plain Exp(1)
+                i_res += pl_intra[ell] * zero_bit_fading[ell]
+        sinr_lf.append(float(des_lf / (i_out + i_res + inv_snr)))
 
-    return (float(sinr_ic), float(sinr_nic), n, *sinr_lf), rejections
+    return (float(sinr_ic), sinr_nic, n, *sinr_lf), rejections
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +234,13 @@ def _worker_count():
         return 1
 
 
-def _run_range(cfg, pairs, e_iout, tail, lo, hi):
+def _run_range(cfg, pairs, lo, hi):
     m = hi - lo
     out = np.empty((m, 3 + len(pairs)))
     rej = 0
     for i in range(m):
         rng = np.random.default_rng((cfg.seed, lo + i))
-        out[i], trial_rej = run_trial(cfg, rng, pairs, e_iout, tail)
+        out[i], trial_rej = run_trial(cfg, rng, pairs)
         rej += trial_rej
     return out, rej
 
@@ -258,20 +254,16 @@ def collect_trials(cfg, pairs=()):
     limited-feedback (policy, b_tot) pair in `pairs` on the same draws;
     deterministic for a fixed seed regardless of CLUSTER_SIM_THREADS."""
     pairs = _check_pairs(pairs)
-    e_iout = None
-    if _needs_e_iout(pairs):
-        e_iout = analysis.expected_iout(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
-    tail = _tail(cfg)
     workers = _worker_count()
     trials = cfg.trials
     step = max(64, -(-trials // (workers * 4)))
     if workers == 1 or trials <= step:
         # one range runs in process: a pool would add only its start-up
-        blocks = [_run_range(cfg, pairs, e_iout, tail, 0, trials)]
+        blocks = [_run_range(cfg, pairs, 0, trials)]
     else:
         # loads multiprocessing, which a one-range run never needs
         from concurrent.futures import ProcessPoolExecutor
-        ranges = [(cfg, pairs, e_iout, tail, lo, min(lo + step, trials))
+        ranges = [(cfg, pairs, lo, min(lo + step, trials))
                   for lo in range(0, trials, step)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_run_range_star, ranges))

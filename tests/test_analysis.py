@@ -383,9 +383,9 @@ def test_rate_loss_adaptive_realization_modes():
     # the same rule makes for that row
     cfg = cfg_plateau()
     d_nt = cfg.antenna_mode.d_nt
-    e_iout, e_log = _loss_constants(cfg)
+    e_iout, _ = _loss_constants(cfg)
     r = np.array([0.4, 0.9, 1.8])
-    (loss,) = analysis.rate_loss_adaptive_rows(r[None, :], cfg, 30, e_iout, e_log)
+    (loss,) = analysis.rate_loss_adaptive_rows(r[None, :], cfg, 30)
     b0, b_intra = feedback.adaptive_allocation(r, 30, 3 + d_nt, cfg.alpha,
                                                e_iout, cfg.inv_snr)
     assert np.isfinite(loss)
@@ -394,7 +394,7 @@ def test_rate_loss_adaptive_realization_modes():
     # symmetric two-interferer instance at cell-scale distance: both in the
     # effective set with near-equal bits
     r2 = np.array([0.5, 0.5])
-    (loss2,) = analysis.rate_loss_adaptive_rows(r2[None, :], cfg, 30, e_iout, e_log)
+    (loss2,) = analysis.rate_loss_adaptive_rows(r2[None, :], cfg, 30)
     _, b_intra2 = feedback.adaptive_allocation(r2, 30, 2 + d_nt, cfg.alpha,
                                                e_iout, cfg.inv_snr)
     _, (size2,), _ = feedback.adaptive_decision(r2[None, :], 30, 2 + d_nt,
@@ -611,7 +611,7 @@ def test_annulus_series_matches_broadcast_evaluation():
     # the inner-radius terms at the (s, r0) shape equal their evaluation on
     # the full (s, r0, r_big) broadcast
     alpha, n = 4.0, 9
-    r0s, _ = analysis._r0_nodes(LAM, 6)
+    r0s, _ = analysis._beyond_nodes(0.0, LAM, 6)
     r_big, _ = analysis._rM_nodes_conditional(r0s[:, None], LAM / 3.0, 5)
     s = np.array([0.3, 1.0, 40.0])[:, None, None] * (1.0 + r0s[:, None]) ** alpha
     got = analysis._annulus_series(s, r0s[:, None], r_big, alpha, n)
@@ -641,7 +641,7 @@ def test_circumscribed_ccdf_bound_shape():
 
 def test_circumscribed_nodes_match_scalar_root():
     # the vectorised bisection gives the nodes a scalar root finder gives
-    r0s, _ = analysis._r0_nodes(LAM, 16)
+    r0s, _ = analysis._beyond_nodes(0.0, LAM, 16)
     lam_c = LAM / 3.0
     got, _ = analysis._rM_nodes_conditional(r0s[:, None], lam_c, 10)
     t, _ = analysis._gl01(10)

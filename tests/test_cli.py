@@ -192,6 +192,27 @@ def test_bad_config_exit_code(capsys):
                  ["coverage", "--mode", "analytic", "--dnt", "1",
                   "--t-db", "0:5e-324:1"],
                  ["pmf-n", "--max-n", "1000000000000"],
+                 # non-finite model values, noise power that overflows and a
+                 # negative seed, which the config itself rejects
+                 *(["coverage", "--mode", "both", "--dnt", "2", "--t-db", "0",
+                    "--trials", "5", *bad]
+                   for bad in (["--alpha", "nan"], ["--alpha", "inf"],
+                               ["--snr-db", "nan"], ["--snr-db=-inf"],
+                               ["--snr-db=-4000"], ["--lambda-b", "inf"],
+                               ["--seed", "-1"])),
+                 ["rate-loss", "--mode", "analytic", "--seed", "-1"],
+                 # work that grows without bound: a count law far past the
+                 # pmf's term cap, and windows far past the station cap
+                 ["coverage", "--mode", "analytic", "--nt", "12",
+                  "--ratio", "1e7", "--t-db", "0"],
+                 ["rate-loss", "--mode", "analytic", "--policy", "equal-bias",
+                  "--ratio", "1e7"],
+                 ["rate-loss", "--mode", "analytic", "--policy", "adaptive",
+                  "--ratio", "2e5"],
+                 ["coverage", "--mode", "mc", "--ratio", "2e5", "--trials", "1",
+                  "--t-db", "0"],
+                 ["coverage", "--mode", "mc", "--window-clusters", "1e300",
+                  "--trials", "1", "--t-db", "0"],
                  # flag values argparse cannot convert, and an unknown flag
                  ["pmf-n", "--max-n", "4.5"],
                  ["coverage", "--trials", "1e3"],

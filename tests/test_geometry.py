@@ -1,3 +1,6 @@
+import math
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -46,9 +49,25 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(lambda_c=0.5, trials=0)
     for kw in ({"antenna_mode": FollowN(0)}, {"antenna_mode": FixedNt(0)},
-               {"window_cluster_count": 0.0}, {"window_cluster_count": -3.0}):
+               {"window_cluster_count": 0.0}, {"window_cluster_count": -3.0},
+               # non-finite model values, noise power that overflows and a
+               # seed default_rng refuses
+               {"alpha": math.nan}, {"alpha": math.inf}, {"lambda_b": math.inf},
+               {"snr_db": math.nan}, {"snr_db": -math.inf}, {"snr_db": -4000.0},
+               {"seed": -1}):
         with pytest.raises(ValueError):
             SimConfig(lambda_c=0.5, **kw)
+    # snr_db = +inf is the noise-free limit
+    assert SimConfig(lambda_c=0.5, snr_db=math.inf).inv_snr == 0.0
+
+
+def test_config_is_a_hashable_value():
+    # a run groups its trial collections by the config itself
+    a, b = SimConfig(lambda_c=0.5), SimConfig(lambda_c=0.5)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, replace(a, seed=1)}) == 2
+    with pytest.raises(FrozenInstanceError):
+        a.seed = 1
 
 
 def test_poisson_count_mean():

@@ -56,14 +56,18 @@ def test_lf_converges_to_perfect_csi_with_many_bits():
 
 
 def test_fixed_nt_thresholding_branches():
+    # a single-cell trial (N >= n_t) beamforms without coordination under
+    # every strategy, so every column reads the nic SINR
     cfg = cfg_make(ratio=6.0, mode=FixedNt(4), trials=1)
     seen = set()
     for i in range(150):
-        (ic, nic, n), _ = montecarlo.run_trial(cfg, np.random.default_rng((5, i)))
+        (ic, nic, n, lf), _ = montecarlo.run_trial(
+            cfg, np.random.default_rng((5, i)), (("adaptive", B_TOT),))
         single_cell = n >= 4
         seen.add(single_cell)
         if single_cell:
             assert ic == nic
+            assert lf == nic
     assert seen == {False, True}
 
 
@@ -191,6 +195,24 @@ def test_multi_pair_collection_matches_single_pair_runs(monkeypatch, threads,
                 == montecarlo.estimate_rate_loss(one.sinr_ic, one.sinr_lf[:, 0]))
     with pytest.raises(ValueError):
         multi.lf("adaptive", 25)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("mode,ratio", [(FollowN(4), 3.0), (FixedNt(4), 6.0)])
+def test_lone_trial_equals_its_collection_row(monkeypatch, threads, mode, ratio):
+    # a trial reads only (cfg, rng, pairs), so trial i run alone on
+    # default_rng((seed, i)) is row i of the collection, whichever worker
+    # process ran it; 70 trials split into blocks of 64 and 6
+    monkeypatch.setenv("CLUSTER_SIM_THREADS", threads)
+    cfg = cfg_make(ratio=ratio, mode=mode, trials=70, seed=31)
+    pairs = (("adaptive", 24), ("equal-bias", 24))
+    arrays = montecarlo.collect_trials(cfg, pairs)
+    for i in range(cfg.trials):
+        (ic, nic, n, *lf), _ = montecarlo.run_trial(
+            cfg, np.random.default_rng((cfg.seed, i)), pairs)
+        assert ic == arrays.sinr_ic[i] and nic == arrays.sinr_nic[i], i
+        assert n == arrays.n_interferers[i], i
+        assert lf == arrays.sinr_lf[i].tolist(), i
 
 
 def test_single_range_runs_without_a_pool(monkeypatch):
