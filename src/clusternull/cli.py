@@ -11,7 +11,8 @@ Exit codes: 0 success, 2 bad configuration (also a flag or flag value
 the parser rejects, and a value a bound finds outside its domain, such as
 --nt 1, a bit budget that is not an integer >= 1, a density ratio
 below 1, a grid value that is not finite, such as a threshold whose
-linear value overflows, a grid of more than MAX_GRID_POINTS points, a
+linear value overflows, a grid of more than MAX_GRID_POINTS points, more
+than MAX_TRIALS trials, a --lambda-b too small for the default SNR, a
 model value SimConfig rejects, such as a non-finite alpha or a negative
 seed, or work past a cap: a sampling window of too many base stations
 or an interferer-count law of too many terms),
@@ -35,6 +36,9 @@ EXIT_IO = 4
 EXIT_MODEL = 5
 
 MAX_GRID_POINTS = 10_000
+# Most Monte Carlo trials one config may ask for: 50 times the README's
+# largest count.  A run holds its trials' SINR columns in memory.
+MAX_TRIALS = 1_000_000
 
 LF_STRATEGIES = {
     "lf-adaptive": "adaptive",
@@ -125,8 +129,16 @@ _DEFAULTS = {
 def default_snr_db(lambda_b):
     """Transmit SNR giving a fixed ~20 dB interference-to-noise operating
     point regardless of the density units (the bounded path-loss law is not
-    scale free, so the absolute density matters)."""
-    return 20.0 - 10.0 * math.log10(lambda_b ** 2)
+    scale free, so the absolute density matters): 20 dB at lambda_b = 1,
+    10 dB more per decade of lower density."""
+    if not 0.0 < lambda_b < math.inf:
+        raise ValueError(f"--lambda-b must be finite and > 0, got {lambda_b!r}")
+    snr_db = 20.0 - 20.0 * math.log10(lambda_b)
+    if 10.0 ** (-snr_db / 10.0) == 0.0:
+        # the noise power, lambda_b^2 / 100, underflows below about 1e-161
+        raise ValueError(f"--lambda-b {lambda_b!r} is too small for the default "
+                         "SNR, whose noise power underflows to 0; give --snr-db")
+    return snr_db
 
 
 def _check_ratio(ratio):
@@ -280,6 +292,8 @@ def _build_spec(args, file_cfg):
         seed=int(pick("seed", int)),
         window_cluster_count=float(pick("window_clusters", float)),
     )
+    if cfg.trials > MAX_TRIALS:
+        raise ValueError(f"trials={cfg.trials} is more than {MAX_TRIALS}")
 
     command = COMMANDS[args.command]
     mode = str(pick("mode", str))

@@ -16,6 +16,11 @@ collects once and hands each estimator the SINR columns it reads:
 trial is one plain row of those columns, and a limited-feedback
 allocation the plain pair (b0, b_intra) that `feedback` returns.
 
+A collection samples its trials' geometry a block of streams at a time
+(`geometry.sample_typical_clusters`, field for field the scalar sampler's
+clusters) and hands each trial its stream's cluster for the first
+attempt; the trial then draws the rest of its tape from its own stream.
+
 A trial is a function of (cfg, rng, pairs) alone.  It reads two
 per-config constants, the Campbell mean of the interference beyond the
 window and the adaptive policy's E{I_out}, straight from `analysis`
@@ -101,7 +106,7 @@ def _tail(cfg):
                                            cfg.alpha)
 
 
-def run_trial(cfg, rng, pairs=()):
+def run_trial(cfg, rng, pairs=(), first=None):
     """One accepted realization evaluated under every strategy and every
     limited-feedback (policy, b_tot) pair.
 
@@ -114,9 +119,12 @@ def run_trial(cfg, rng, pairs=()):
     Returns (row, rejections): the row in `TrialArrays` column order,
     (sinr_ic, sinr_nic, n_interferers, *sinr_lf) with one limited-feedback
     SINR per pair, and the realizations the sampler rejected first.
+    `first`, the (cluster, rejections) that `geometry.sample_typical_clusters`
+    drew on rng, stands in for the first sampler call.
     """
     for _ in range(64):
-        cluster, rejections = geometry.sample_typical_cluster(cfg, rng)
+        cluster, rejections = first or geometry.sample_typical_cluster(cfg, rng)
+        first = None
         try:
             return _trial_from_cluster(cfg, cluster, rng, pairs, rejections)
         except RankDeficientError:
@@ -235,13 +243,16 @@ def _worker_count():
 
 
 def _run_range(cfg, pairs, lo, hi):
-    m = hi - lo
-    out = np.empty((m, 3 + len(pairs)))
+    out = np.empty((hi - lo, 3 + len(pairs)))
     rej = 0
-    for i in range(m):
-        rng = np.random.default_rng((cfg.seed, lo + i))
-        out[i], trial_rej = run_trial(cfg, rng, pairs)
-        rej += trial_rej
+    step = geometry.block_size(cfg)
+    for start in range(lo, hi, step):
+        rngs = [np.random.default_rng((cfg.seed, i))
+                for i in range(start, min(start + step, hi))]
+        sampled = geometry.sample_typical_clusters(cfg, rngs)
+        for i, rng, first in zip(range(start - lo, hi - lo), rngs, sampled):
+            out[i], trial_rej = run_trial(cfg, rng, pairs, first)
+            rej += trial_rej
     return out, rej
 
 

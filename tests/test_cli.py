@@ -213,6 +213,11 @@ def test_bad_config_exit_code(capsys):
                   "--t-db", "0"],
                  ["coverage", "--mode", "mc", "--window-clusters", "1e300",
                   "--trials", "1", "--t-db", "0"],
+                 # trial counts far past MAX_TRIALS, rejected before any work
+                 ["coverage", "--mode", "mc", "--trials", "1000000000000",
+                  "--t-db", "0"],
+                 ["rate-loss", "--mode", "mc", "--trials", "1000000000000",
+                  "--btot-grid", "20"],
                  # flag values argparse cannot convert, and an unknown flag
                  ["pmf-n", "--max-n", "4.5"],
                  ["coverage", "--trials", "1e3"],
@@ -220,6 +225,17 @@ def test_bad_config_exit_code(capsys):
         code, err = _main_stderr(capsys, args)
         assert code == cli.EXIT_CONFIG
         assert err.startswith("error: bad configuration")
+        assert len(err.splitlines()) == 1
+    # densities the default SNR cannot serve: its noise power lambda_b^2/100
+    # underflows below about 1e-161, and log10 needs lambda_b > 0
+    for args in (["pmf-n", "--lambda-b", "1e-200"],
+                 ["coverage", "--mode", "analytic", "--lambda-b", "1e-200",
+                  "--t-db", "0"],
+                 ["pmf-n", "--lambda-b", "0"],
+                 ["pmf-n", "--lambda-b=-1"]):
+        code, err = _main_stderr(capsys, args)
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("error: bad configuration: --lambda-b")
         assert len(err.splitlines()) == 1
 
 

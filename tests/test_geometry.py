@@ -7,16 +7,18 @@ from scipy import stats
 from scipy.spatial import HalfspaceIntersection, Voronoi
 
 from clusternull import analysis, geometry
-from clusternull.errors import DegenerateRealizationError
+from clusternull.errors import DegenerateRealizationError, DomainError
 from clusternull.geometry import (
     FixedNt,
     FollowN,
     NetworkRealization,
     SimConfig,
     build_typical_cluster,
+    build_typical_clusters,
     nearest_cluster,
     sample_realization,
     sample_typical_cluster,
+    sample_typical_clusters,
     typical_bs_cluster_counts,
 )
 
@@ -128,6 +130,14 @@ def test_serving_is_nearest_and_radii_ordered():
             assert cl.out_dist.min() > cl.r0
 
 
+def _block_of_one(net):
+    return build_typical_clusters([net])[0]
+
+
+# both extraction paths: the scalar reference and the block path
+EXTRACTORS = (build_typical_cluster, _block_of_one)
+
+
 def test_cell_matches_scipy_voronoi():
     # independent oracle: the serving station's region in the Voronoi
     # diagram of all cluster stations.  Where that region is bounded and
@@ -140,7 +150,7 @@ def test_cell_matches_scipy_voronoi():
         for _ in range(50):
             net = sample_realization(cfg, rng)
             try:
-                cl = build_typical_cluster(net)
+                cls = [extract(net) for extract in EXTRACTORS]
             except DegenerateRealizationError:
                 continue
             c0_idx = nearest_cluster(net.bs_points, net.cluster_points)[
@@ -155,13 +165,14 @@ def test_cell_matches_scipy_voronoi():
                 continue
             angle = np.arctan2(poly[:, 1] - c0[1], poly[:, 0] - c0[0])
             poly = poly[np.argsort(angle)]
-            assert cl.cell_reach == pytest.approx(
-                np.hypot(*poly.T).max(), rel=1e-12)
             a, b = poly, np.roll(poly, -1, axis=0)
             t = np.clip(np.einsum("ij,ij->i", c0 - a, b - a)
                         / np.einsum("ij,ij->i", b - a, b - a), 0.0, 1.0)
             edge_dist = np.hypot(*(c0 - (a + t[:, None] * (b - a))).T)
-            assert cl.r_m == pytest.approx(edge_dist.min(), rel=1e-12)
+            for cl in cls:
+                assert cl.cell_reach == pytest.approx(
+                    np.hypot(*poly.T).max(), rel=1e-12)
+                assert cl.r_m == pytest.approx(edge_dist.min(), rel=1e-12)
             checked += 1
     assert checked >= 100
 
@@ -207,10 +218,11 @@ def test_square_cut_cell_matches_qhull(window_clusters, ratio):
                 window_radius=0.5 * (inner + np.abs(vertices).max()))
             vertices = _qhull_cell(net, c0_idx)
         reach = np.hypot(*vertices.T).max()
-        cl = build_typical_cluster(net)
-        assert cl.cell_reach == pytest.approx(reach, rel=1e-12)
         guard = 0.9 * net.window_radius
-        assert (cl.cell_reach > guard) == (reach > guard)
+        for extract in EXTRACTORS:
+            cl = extract(net)
+            assert cl.cell_reach == pytest.approx(reach, rel=1e-12)
+            assert (cl.cell_reach > guard) == (reach > guard)
         checked += 1
     assert checked >= 50
 
@@ -364,3 +376,98 @@ def test_extraction_associates_only_candidates(monkeypatch):
         build_typical_cluster(net)
         assert len(rows) == 1
         assert rows[0] < len(net.bs_points) / 4
+
+
+def _assert_same_draw(got, want):
+    (a, rej_a), (b, rej_b) = got, want
+    assert rej_a == rej_b
+    assert (a.r0, a.r_m, a.cell_reach) == (b.r0, b.r_m, b.cell_reach)
+    for x, y in ((a.intra_dist, b.intra_dist), (a.out_dist, b.out_dist)):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert np.array_equal(x, y)
+
+
+def _block_matches_scalar(cfg, count, seed):
+    """Block sampler against the scalar sampler on streams (seed, i), the
+    streams left where the scalar sampler leaves them; returns the
+    rejections the scalar sampler made."""
+    rngs = [np.random.default_rng((seed, i)) for i in range(count)]
+    block = sample_typical_clusters(cfg, rngs)
+    assert len(block) == count
+    rejections = 0
+    for i, (got, rng) in enumerate(zip(block, rngs)):
+        alone = np.random.default_rng((seed, i))
+        want = sample_typical_cluster(cfg, alone)
+        _assert_same_draw(got, want)
+        assert rng.bit_generator.state == alone.bit_generator.state
+        rejections += want[1]
+    return rejections
+
+
+@pytest.mark.parametrize("ratio", [1.0, 3.0, 6.0, 30.0])
+@pytest.mark.parametrize("lambda_b", [1e-4, 1.0])
+def test_block_sampler_matches_scalar(lambda_b, ratio):
+    # field for field the scalar floats, so a stream's trial reads the same
+    # cluster either way
+    cfg = SimConfig(lambda_b=lambda_b, lambda_c=lambda_b / ratio)
+    _block_matches_scalar(cfg, 300 if ratio < 30.0 else 100, 23)
+
+
+@pytest.mark.parametrize("window_clusters", [3.0, 6.0, 100.0])
+def test_block_sampler_matches_scalar_through_rejections(window_clusters):
+    # small windows reject often: degenerate windows (fewer than two cluster
+    # stations) and cells reaching the guard annulus, so streams of a block
+    # draw again a different number of times
+    cfg = cfg_ratio(3.0, window_cluster_count=window_clusters)
+    rejections = _block_matches_scalar(cfg, 300, 24)
+    if window_clusters < 100.0:
+        assert rejections > 100
+    if window_clusters == 3.0:
+        rng = np.random.default_rng(25)
+        nets = [sample_realization(cfg, rng) for _ in range(100)]
+        assert any(len(net.cluster_points) < 2 for net in nets)
+
+
+def test_block_sampler_splits_blocks():
+    cfg = cfg_ratio(3.0)
+    block = geometry.block_size(cfg)
+    assert 1 < block < 1000
+    for count in (1, block, block + 1):
+        _block_matches_scalar(cfg, count, 26)
+    assert sample_typical_clusters(cfg, []) == []
+    # block sizes shrink with the window's station count
+    assert geometry.block_size(cfg_ratio(30.0)) < block
+    assert geometry.block_size(cfg_ratio(1000.0)) >= 1
+
+
+def test_block_sampler_refuses_before_any_draw():
+    cfg = cfg_ratio(3.0, window_cluster_count=1e300)
+    rng = np.random.default_rng(27)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError):
+        sample_typical_clusters(cfg, [rng])
+    assert rng.bit_generator.state == state
+
+
+def test_typical_user_count_dominates_pmf_n():
+    # the bounds mix pmf_n, the law of a typical base station's cluster.  The
+    # typical user's serving cluster holds stochastically fewer stations: its
+    # Monte Carlo CDF lies on or above pmf_n's at every n, within its CI.
+    # With 8000 draws and seed 99, N averages 0.988, 3.374 and 7.020 against
+    # pmf_n's 1.286, 3.857 and 7.714, so the FixedNt icin and equal-policy
+    # rate-loss bounds, which both worsen with N, stay on the safe side.
+    draws = 8000
+    for ratio in (1.0, 3.0, 6.0):
+        cfg = cfg_ratio(ratio, seed=99)
+        step = geometry.block_size(cfg)
+        counts = []
+        for lo in range(0, draws, step):
+            rngs = [np.random.default_rng((99, i))
+                    for i in range(lo, min(lo + step, draws))]
+            counts += [cl.n_interferers
+                       for cl, _ in sample_typical_clusters(cfg, rngs)]
+        cdf = np.cumsum(np.bincount(counts)) / draws
+        pmf_cdf = np.cumsum([analysis.pmf_n(n, ratio) for n in range(len(cdf))])
+        ci = 1.96 * np.sqrt(cdf * (1.0 - cdf) / draws)
+        assert np.all(cdf + ci >= pmf_cdf)
+        assert cdf[0] > pmf_cdf[0] + 0.005

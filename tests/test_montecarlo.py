@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from clusternull import analysis, feedback, montecarlo
+from clusternull.errors import RankDeficientError
 from clusternull.geometry import FixedNt, FollowN, SimConfig
 
 LAM = 1e-4
@@ -213,6 +214,36 @@ def test_lone_trial_equals_its_collection_row(monkeypatch, threads, mode, ratio)
         assert ic == arrays.sinr_ic[i] and nic == arrays.sinr_nic[i], i
         assert n == arrays.n_interferers[i], i
         assert lf == arrays.sinr_lf[i].tolist(), i
+
+
+def test_rank_deficient_resample_continues_the_stream(monkeypatch):
+    # a collection hands each trial its block-sampled cluster for the first
+    # attempt only: when that attempt is rank deficient, the trial resamples
+    # from its own stream, as a lone trial does
+    real = montecarlo._trial_from_cluster
+    calls = []
+
+    def every_first_attempt_fails(*args):
+        calls.append(args)
+        if len(calls) % 2:
+            raise RankDeficientError("forced")
+        return real(*args)
+
+    monkeypatch.setenv("CLUSTER_SIM_THREADS", "1")
+    cfg = cfg_make(trials=20, seed=32)
+    pairs = (("adaptive", 24),)
+    plain = montecarlo.collect_trials(cfg, pairs)
+    monkeypatch.setattr(montecarlo, "_trial_from_cluster", every_first_attempt_fails)
+    arrays = montecarlo.collect_trials(cfg, pairs)
+    assert len(calls) == 2 * cfg.trials
+    for i in range(cfg.trials):
+        (ic, nic, n, *lf), _ = montecarlo.run_trial(
+            cfg, np.random.default_rng((cfg.seed, i)), pairs)
+        assert ic == arrays.sinr_ic[i] and nic == arrays.sinr_nic[i], i
+        assert n == arrays.n_interferers[i], i
+        assert lf == arrays.sinr_lf[i].tolist(), i
+    # every trial really resampled: no row is the unforced one
+    assert not np.any(plain.sinr_nic == arrays.sinr_nic)
 
 
 def test_single_range_runs_without_a_pool(monkeypatch):
