@@ -672,21 +672,18 @@ def rate_loss_ub_adaptive(cfg, b_tots, geometry_trials=2000):
     Returns (values, errors): at each budget of `b_tots`, the mean loss over
     the draws and its standard error.  The geometry stream
     (cfg.seed, 104729, i) does not depend on the budget, so one set of
-    draws serves the grid.  The streams are sampled a block at a time
-    (`geometry.sample_typical_clusters`), and draws with one interferer
-    count are evaluated together.
+    draws serves the grid.  `geometry.sample_typical_clusters` samples the
+    streams, and draws with one interferer count are evaluated together.
     """
     _require_follow(cfg)
     budgets = [int(b) for b in b_tots]
     by_count = {}                       # n -> (draw indices, distance rows)
-    step = geometry.block_size(cfg)
-    for lo in range(0, geometry_trials, step):
-        block = range(lo, min(lo + step, geometry_trials))
-        rngs = [np.random.default_rng((cfg.seed, 104729, i)) for i in block]
-        for i, (cluster, _) in zip(block, geometry.sample_typical_clusters(cfg, rngs)):
-            draws, rows = by_count.setdefault(cluster.n_interferers, ([], []))
-            draws.append(i)
-            rows.append(cluster.intra_dist)
+    streams = (np.random.default_rng((cfg.seed, 104729, i))
+               for i in range(geometry_trials))
+    for i, (_, cluster, _) in enumerate(geometry.sample_typical_clusters(cfg, streams)):
+        draws, rows = by_count.setdefault(cluster.n_interferers, ([], []))
+        draws.append(i)
+        rows.append(cluster.intra_dist)
     losses = np.empty((len(budgets), geometry_trials))
     for n, (draws, rows) in by_count.items():
         stacked = np.array(rows).reshape(len(draws), n)

@@ -14,8 +14,9 @@ below 1, a grid value that is not finite, such as a threshold whose
 linear value overflows, a grid of more than MAX_GRID_POINTS points, more
 than MAX_TRIALS trials, a --lambda-b too small for the default SNR, a
 model value SimConfig rejects, such as a non-finite alpha or a negative
-seed, or work past a cap: a sampling window of too many base stations
-or an interferer-count law of too many terms),
+seed, a density so low that the path loss at the sampling window's edge
+overflows, or work past a cap: a sampling window of too many base
+stations or an interferer-count law of too many terms),
 4 a file could not be read or written,
 5 any other package error while evaluating (for example no acceptable
 deployment realization within the sampler's attempt budget).

@@ -5,7 +5,7 @@ path loss (1+r)^alpha is written in.  That law is not scale free: the +1
 fixes a physical length, so the model and its bounds depend on the
 absolute density lambda_b, not only on lambda_b/lambda_c and alpha.  The
 observation window is a disk around the typical user (the origin) holding
-`window_cluster_count` clusters on average.  `sample_typical_cluster`
+`window_cluster_count` clusters on average.  `sample_typical_clusters`
 rejects realizations whose serving cluster cell reaches the outer 10%
 annulus of the window, to suppress edge effects; `build_typical_cluster`
 extracts the cluster of any realization and leaves that rule to the
@@ -26,16 +26,18 @@ cell's farthest vertex.  Every base station lies in the window disk, so
 every member lies in the cut cell and the candidates contain them all.
 `nearest_cluster` over all base stations gives the full map on demand.
 
-`sample_typical_clusters` runs `sample_typical_cluster` over a block of
-streams at once.  Each stream draws what the scalar sampler draws, in its
-order; the polar-to-Cartesian map, the distances and the cell clip then
-run over the padded block, with the scalar arithmetic element for element
-(`math.hypot` for the reach, which `np.hypot` may round differently), so
-every field equals the scalar one.  The scalar functions stay the
-per-realization reference, and serve lone calls, which a block of one
-would slow down.
+`sample_typical_clusters` is the one sampler.  It takes the streams a
+block at a time, and each stream of a block draws its realizations in one
+order (`_draw`), so every stream's tape is the same whatever the block
+holds.  One rejection loop serves a lone stream and a block alike: each
+pass extracts its usable realizations together, through
+`build_typical_cluster` when a pass holds one and through the padded
+block extractor (a vectorized cell clip with `_clip`'s arithmetic, and
+`math.hypot` for the reach, which `np.hypot` may round differently) when
+it holds more.  Both give the same floats, field for field.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -144,18 +146,11 @@ class TypicalCluster:
         return len(self.intra_dist)
 
 
-def _uniform_disk(rng, count, radius):
-    r = radius * np.sqrt(rng.random(count))
-    theta = 2.0 * math.pi * rng.random(count)
-    points = np.empty((count, 2))
-    np.multiply(r, np.cos(theta), out=points[:, 0])
-    np.multiply(r, np.sin(theta), out=points[:, 1])
-    return points
-
-
 def _window_means(cfg):
     """(radius, mean base-station count, mean cluster-station count) of the
-    window; DomainError past _MAX_WINDOW_STATIONS base stations."""
+    window; DomainError past _MAX_WINDOW_STATIONS base stations, or when
+    the path loss (1 + radius)^alpha at the window's edge overflows (a
+    density so low that a trial's SINR would read 0/0)."""
     radius = cfg.window_radius
     area = math.pi * radius * radius
     mean_b = cfg.lambda_b * area
@@ -164,24 +159,49 @@ def _window_means(cfg):
             f"the window holds {mean_b:.3g} base stations on average "
             f"(window_cluster_count x ratio), over the {_MAX_WINDOW_STATIONS:g} "
             "a realization may sample")
+    try:
+        edge_loss = (1.0 + radius) ** cfg.alpha
+    except OverflowError:
+        edge_loss = math.inf
+    if not edge_loss < math.inf:
+        raise DomainError(
+            f"lambda_b = {cfg.lambda_b:g} is too low to sample: the path loss "
+            f"(1 + r)^alpha overflows at the window radius {radius:.3g}")
     return radius, mean_b, cfg.lambda_c * area
+
+
+def _draw(rng, mean_b, mean_c):
+    """One realization's draws, in the order every sampler makes them: the
+    Poisson counts n_b and n_c, then the base stations' radius and angle
+    uniforms, then the cluster stations'."""
+    n_b = rng.poisson(mean_b)
+    n_c = rng.poisson(mean_c)
+    return [rng.random(n) for n in (n_b, n_b, n_c, n_c)]
+
+
+def _disk_points(radius, u_r, u_theta):
+    """(x, y) of the uniform points on the disk of `radius` that the radius
+    uniforms u_r and angle uniforms u_theta give."""
+    r = radius * np.sqrt(u_r)
+    theta = 2.0 * math.pi * u_theta
+    return r * np.cos(theta), r * np.sin(theta)
+
+
+def _realization(radius, draw):
+    """The deployment that one `_draw` gives on the window of `radius`."""
+    bs, clusters = (np.empty((len(u_r), 2)) for u_r in draw[::2])
+    bs[:, 0], bs[:, 1] = _disk_points(radius, *draw[:2])
+    clusters[:, 0], clusters[:, 1] = _disk_points(radius, *draw[2:])
+    return NetworkRealization(bs_points=bs, cluster_points=clusters,
+                              window_radius=radius)
 
 
 def sample_realization(cfg, rng):
     """One deployment: Poisson counts on the disk window, then uniform
     base-station and cluster-station positions.  DomainError, before any
-    draw, if the window holds more than _MAX_WINDOW_STATIONS base stations
-    on average."""
+    draw, as `_window_means`."""
     radius, mean_b, mean_c = _window_means(cfg)
-    n_b = rng.poisson(mean_b)
-    n_c = rng.poisson(mean_c)
-    bs = _uniform_disk(rng, n_b, radius)
-    clusters = _uniform_disk(rng, n_c, radius)
-    return NetworkRealization(
-        bs_points=bs,
-        cluster_points=clusters,
-        window_radius=radius,
-    )
+    return _realization(radius, _draw(rng, mean_b, mean_c))
 
 
 def nearest_cluster(points, clusters):
@@ -296,91 +316,68 @@ def typical_bs_cluster_counts(net):
     return peers[interior[assoc]]
 
 
-def sample_typical_cluster(cfg, rng, max_attempts=_MAX_ATTEMPTS):
-    """Sample realizations until one yields a typical cluster whose cell
-    stays clear of the window's guard annulus.
-
-    Returns (cluster, rejections).
-    """
-    rejections = 0
-    for _ in range(max_attempts):
-        net = sample_realization(cfg, rng)
-        try:
-            cluster = build_typical_cluster(net)
-        except DegenerateRealizationError:
-            rejections += 1
-            continue
-        if cluster.cell_reach > _GUARD_FRACTION * net.window_radius:
-            rejections += 1
-            continue
-        return cluster, rejections
-    raise DegenerateRealizationError(
-        f"no acceptable realization in {max_attempts} attempts")
-
-
-# ---------------------------------------------------------------------------
-# Block sampling: `sample_typical_cluster` over many streams at once
-# ---------------------------------------------------------------------------
-
-def block_size(cfg):
+def _block_size(cfg):
     """Streams per block of `sample_typical_clusters` under cfg, whose
     windows hold ratio x window_cluster_count base stations on average."""
     mean_b = max(cfg.ratio * cfg.window_cluster_count, 1.0)
     return max(1, min(_BLOCK_STREAMS, int(_BLOCK_STATIONS / mean_b)))
 
 
-def sample_typical_clusters(cfg, rngs):
-    """`sample_typical_cluster` on each stream of the sequence `rngs`, a
-    block of streams at a time: one (cluster, rejections) per stream, field
-    for field equal to the scalar sampler's on that stream.
+def sample_typical_clusters(cfg, streams):
+    """Typical clusters whose cells stay clear of the window's guard
+    annulus: one (rng, cluster, rejections) for each generator of the
+    iterable `streams`, in order, `rejections` counting the realizations
+    drawn on rng before its cluster's.
 
-    Each stream makes the scalar sampler's draws in its order, and only the
-    rejected streams of a block draw again, so every stream's tape is the
-    scalar one.  DomainError, before any draw, as `sample_realization`.
+    The streams are taken lazily, one block at a time; each stream draws
+    until it is accepted, so its tape does not depend on the block.
+    DomainError on the call, before any stream is read, as `_window_means`;
+    DegenerateRealizationError when a stream has no acceptable realization
+    in _MAX_ATTEMPTS.
     """
     radius, mean_b, mean_c = _window_means(cfg)
-    step = block_size(cfg)
-    out = []
-    for lo in range(0, len(rngs), step):
-        out += _sample_block(rngs[lo:lo + step], radius, mean_b, mean_c)
-    return out
+    return _sample(iter(streams), _block_size(cfg), radius, mean_b, mean_c)
 
 
-def _sample_block(rngs, radius, mean_b, mean_c):
-    found = [None] * len(rngs)
-    rejections = [0] * len(rngs)
-    pending = range(len(rngs))
-    for _ in range(_MAX_ATTEMPTS):
-        usable, draws = [], []
-        for k in pending:
-            rng = rngs[k]
-            n_b = rng.poisson(mean_b)
-            n_c = rng.poisson(mean_c)
-            # sample_realization's draws: radii, then angles, of the base
-            # stations, then of the cluster stations
-            u = [rng.random(n) for n in (n_b, n_b, n_c, n_c)]
-            if n_b > 0 and n_c > 1:     # else build_typical_cluster refuses
-                usable.append(k)
-                draws.append(u)
-        built = {}
-        if draws:
-            u_rb, u_tb, u_rc, u_tc = zip(*draws)
-            built = dict(zip(usable, _extract_block(
-                np.full(len(draws), radius),
-                _disk_rows(radius, u_rb, u_tb), _disk_rows(radius, u_rc, u_tc))))
-        retry = []
-        for k in pending:
-            cluster = built.get(k)
-            if cluster is None or cluster.cell_reach > _GUARD_FRACTION * radius:
+def _sample(streams, step, radius, mean_b, mean_c):
+    while block := list(itertools.islice(streams, step)):
+        found = [None] * len(block)
+        rejections = [0] * len(block)
+        pending = range(len(block))
+        for _ in range(_MAX_ATTEMPTS):
+            draws = {k: _draw(block[k], mean_b, mean_c) for k in pending}
+            # build_typical_cluster refuses a window without base stations
+            # or with fewer than two cluster stations
+            usable = [k for k, d in draws.items() if len(d[0]) > 0 and len(d[2]) > 1]
+            clusters = _extract(radius, [draws[k] for k in usable])
+            for k, cluster in zip(usable, clusters):
+                if cluster.cell_reach <= _GUARD_FRACTION * radius:
+                    found[k] = cluster
+            pending = [k for k in pending if found[k] is None]
+            if not pending:
+                break
+            for k in pending:
                 rejections[k] += 1
-                retry.append(k)
-            else:
-                found[k] = (cluster, rejections[k])
-        pending = retry
-        if not pending:
-            return found
-    raise DegenerateRealizationError(
-        f"no acceptable realization in {_MAX_ATTEMPTS} attempts")
+        else:
+            raise DegenerateRealizationError(
+                f"no acceptable realization in {_MAX_ATTEMPTS} attempts")
+        yield from zip(block, found, rejections)
+
+
+def _extract(radius, draws):
+    """The typical clusters of one pass's usable draws: a lone realization
+    through `build_typical_cluster`, more through the padded extractor."""
+    if len(draws) < 2:
+        return [build_typical_cluster(_realization(radius, d)) for d in draws]
+    u_rb, u_tb, u_rc, u_tc = zip(*draws)
+
+    def rows(u_r, u_theta):
+        return _padded_rows(*_disk_points(radius, np.concatenate(u_r),
+                                          np.concatenate(u_theta)),
+                            np.array([len(u) for u in u_r]))
+
+    return _extract_block(np.full(len(draws), radius),
+                          rows(u_rb, u_tb), rows(u_rc, u_tc))
 
 
 def _padded_rows(x, y, counts):
@@ -392,14 +389,6 @@ def _padded_rows(x, y, counts):
     py = np.full(used.shape, np.inf)
     px[used], py[used] = x, y
     return px, py, counts
-
-
-def _disk_rows(radius, u_r, u_theta):
-    """`_uniform_disk` of every row's uniforms at once, as padded rows."""
-    r = radius * np.sqrt(np.concatenate(u_r))
-    theta = 2.0 * math.pi * np.concatenate(u_theta)
-    return _padded_rows(r * np.cos(theta), r * np.sin(theta),
-                        np.array([len(u) for u in u_r]))
 
 
 def build_typical_clusters(nets):

@@ -16,10 +16,12 @@ collects once and hands each estimator the SINR columns it reads:
 trial is one plain row of those columns, and a limited-feedback
 allocation the plain pair (b0, b_intra) that `feedback` returns.
 
-A collection samples its trials' geometry a block of streams at a time
-(`geometry.sample_typical_clusters`, field for field the scalar sampler's
-clusters) and hands each trial its stream's cluster for the first
-attempt; the trial then draws the rest of its tape from its own stream.
+Every trial's geometry comes from `geometry.sample_typical_clusters`, one
+rejection loop that serves a lone stream and a block of streams alike and
+picks its extractor by the size of each pass.  A collection hands it the
+generator of its trials' streams and each trial the cluster drawn on its
+stream, for the first attempt; the trial then draws the rest of its tape
+from its own stream.
 
 A trial is a function of (cfg, rng, pairs) alone.  It reads two
 per-config constants, the Campbell mean of the interference beyond the
@@ -119,11 +121,13 @@ def run_trial(cfg, rng, pairs=(), first=None):
     Returns (row, rejections): the row in `TrialArrays` column order,
     (sinr_ic, sinr_nic, n_interferers, *sinr_lf) with one limited-feedback
     SINR per pair, and the realizations the sampler rejected first.
-    `first`, the (cluster, rejections) that `geometry.sample_typical_clusters`
-    drew on rng, stands in for the first sampler call.
+    `first`, the (rng, cluster, rejections) that
+    `geometry.sample_typical_clusters` yielded for rng, stands in for the
+    first sampler call.
     """
     for _ in range(64):
-        cluster, rejections = first or geometry.sample_typical_cluster(cfg, rng)
+        _, cluster, rejections = (
+            first or next(geometry.sample_typical_clusters(cfg, [rng])))
         first = None
         try:
             return _trial_from_cluster(cfg, cluster, rng, pairs, rejections)
@@ -245,14 +249,10 @@ def _worker_count():
 def _run_range(cfg, pairs, lo, hi):
     out = np.empty((hi - lo, 3 + len(pairs)))
     rej = 0
-    step = geometry.block_size(cfg)
-    for start in range(lo, hi, step):
-        rngs = [np.random.default_rng((cfg.seed, i))
-                for i in range(start, min(start + step, hi))]
-        sampled = geometry.sample_typical_clusters(cfg, rngs)
-        for i, rng, first in zip(range(start - lo, hi - lo), rngs, sampled):
-            out[i], trial_rej = run_trial(cfg, rng, pairs, first)
-            rej += trial_rej
+    streams = (np.random.default_rng((cfg.seed, i)) for i in range(lo, hi))
+    for i, first in enumerate(geometry.sample_typical_clusters(cfg, streams)):
+        out[i], trial_rej = run_trial(cfg, first[0], pairs, first)
+        rej += trial_rej
     return out, rej
 
 

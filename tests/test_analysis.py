@@ -438,7 +438,7 @@ def per_draw_adaptive_bound(cfg, budgets, draws):
     seen = set()
     for i in range(draws):
         rng = np.random.default_rng((cfg.seed, 104729, i))
-        cluster, _ = geometry.sample_typical_cluster(cfg, rng)
+        (_, cluster, _), = geometry.sample_typical_clusters(cfg, [rng])
         n = cluster.n_interferers
         seen |= {"n=0"} if n == 0 else {"n>=8"} if n >= 8 else set()
         for j, b_tot in enumerate(budgets):

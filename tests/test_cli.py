@@ -237,6 +237,17 @@ def test_bad_config_exit_code(capsys):
         assert code == cli.EXIT_CONFIG
         assert err.startswith("error: bad configuration: --lambda-b")
         assert len(err.splitlines()) == 1
+    # densities whose path loss (1 + r)^alpha overflows at the sampling
+    # window's edge, where a trial's SINR would read 0/0: refused before
+    # any draw, naming the density
+    for args in (["coverage", "--mode", "mc", "--lambda-b", "1e-200",
+                  "--snr-db", "inf", "--dnt", "2", "--t-db", "0", "--trials", "3"],
+                 ["rate-loss", "--mode", "analytic", "--policy", "adaptive",
+                  "--lambda-b", "1e-200", "--snr-db", "10"]):
+        code, err = _main_stderr(capsys, args)
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("error: bad configuration: lambda_b = 1e-200")
+        assert len(err.splitlines()) == 1
 
 
 def test_help_still_exits_zero(capsys):

@@ -17,7 +17,6 @@ from clusternull.geometry import (
     build_typical_clusters,
     nearest_cluster,
     sample_realization,
-    sample_typical_cluster,
     sample_typical_clusters,
     typical_bs_cluster_counts,
 )
@@ -29,12 +28,34 @@ def cfg_ratio(ratio, **kw):
     return SimConfig(lambda_b=LAM_B, lambda_c=LAM_B / ratio, **kw)
 
 
+def _sample_one(cfg, rng):
+    """(cluster, rejections) of the sampler on the lone stream rng."""
+    (_, cl, rejections), = sample_typical_clusters(cfg, [rng])
+    return cl, rejections
+
+
+def _reference_draw(cfg, rng):
+    """(cluster, rejections) of the per-realization reference: realizations
+    drawn on rng until `build_typical_cluster` gives a cluster whose cell
+    stays inside 0.9 of the window radius."""
+    rejections = 0
+    while True:
+        net = sample_realization(cfg, rng)
+        try:
+            cl = build_typical_cluster(net)
+        except DegenerateRealizationError:
+            cl = None
+        if cl is not None and cl.cell_reach <= 0.9 * net.window_radius:
+            return cl, rejections
+        rejections += 1
+
+
 def _accepted_realization(cfg, rng):
-    """(realization, cluster) of one `sample_typical_cluster` call, the
-    realization replayed from a copy of the generator."""
+    """(realization, cluster) of one sampler call on rng, the realization
+    replayed from a copy of the generator."""
     replay = np.random.default_rng()
     replay.bit_generator.state = rng.bit_generator.state
-    cl, rejections = sample_typical_cluster(cfg, rng)
+    cl, rejections = _sample_one(cfg, rng)
     for _ in range(rejections + 1):
         net = sample_realization(cfg, replay)
     return net, cl
@@ -230,7 +251,7 @@ def test_square_cut_cell_matches_qhull(window_clusters, ratio):
 def test_r0_distribution():
     cfg = cfg_ratio(3.0)
     rng = np.random.default_rng(5)
-    r0s = np.array([sample_typical_cluster(cfg, rng)[0].r0 for _ in range(20000)])
+    r0s = np.array([_sample_one(cfg, rng)[0].r0 for _ in range(20000)])
     d, _ = stats.kstest(r0s, lambda r: 1.0 - np.exp(-np.pi * cfg.lambda_b * r ** 2))
     assert d < 0.01
 
@@ -265,7 +286,7 @@ def test_serving_cluster_inscribed_radius_is_biased_up():
     # cell whose inscribed radius is stochastically larger than typical
     cfg = cfg_ratio(3.0)
     rng = np.random.default_rng(7)
-    rms = np.array([sample_typical_cluster(cfg, rng)[0].r_m for _ in range(4000)])
+    rms = np.array([_sample_one(cfg, rng)[0].r_m for _ in range(4000)])
     median_typical = np.sqrt(np.log(2.0) / (4.0 * np.pi * cfg.lambda_c))
     assert (rms > median_typical).mean() > 0.55
 
@@ -302,10 +323,12 @@ def test_degenerate_realizations_rejected(monkeypatch):
         window_radius=10.0,
     )
     assert build_typical_cluster(net).cell_reach > 0.9 * net.window_radius
-    monkeypatch.setattr(geometry, "sample_realization", lambda cfg, rng: net)
+    # the sampler gives up after its attempt budget: a window of almost no
+    # stations is degenerate on every draw
+    monkeypatch.setattr(geometry, "_MAX_ATTEMPTS", 3)
     with pytest.raises(DegenerateRealizationError):
-        sample_typical_cluster(cfg_ratio(3.0), np.random.default_rng(0),
-                               max_attempts=3)
+        _sample_one(cfg_ratio(3.0, window_cluster_count=1e-6),
+                    np.random.default_rng(0))
 
 
 def test_reproducible_sampling():
@@ -379,6 +402,7 @@ def test_extraction_associates_only_candidates(monkeypatch):
 
 
 def _assert_same_draw(got, want):
+    """Equal (cluster, rejections) pairs, field for field."""
     (a, rej_a), (b, rej_b) = got, want
     assert rej_a == rej_b
     assert (a.r0, a.r_m, a.cell_reach) == (b.r0, b.r_m, b.cell_reach)
@@ -388,16 +412,17 @@ def _assert_same_draw(got, want):
 
 
 def _block_matches_scalar(cfg, count, seed):
-    """Block sampler against the scalar sampler on streams (seed, i), the
-    streams left where the scalar sampler leaves them; returns the
-    rejections the scalar sampler made."""
+    """The sampler on streams (seed, i) against the per-realization
+    reference on each stream alone, the streams left where the reference
+    leaves them; returns the rejections the reference made."""
     rngs = [np.random.default_rng((seed, i)) for i in range(count)]
-    block = sample_typical_clusters(cfg, rngs)
+    block = list(sample_typical_clusters(cfg, rngs))
     assert len(block) == count
     rejections = 0
-    for i, (got, rng) in enumerate(zip(block, rngs)):
+    for i, ((rng, *got), given) in enumerate(zip(block, rngs)):
+        assert rng is given
         alone = np.random.default_rng((seed, i))
-        want = sample_typical_cluster(cfg, alone)
+        want = _reference_draw(cfg, alone)
         _assert_same_draw(got, want)
         assert rng.bit_generator.state == alone.bit_generator.state
         rejections += want[1]
@@ -430,14 +455,41 @@ def test_block_sampler_matches_scalar_through_rejections(window_clusters):
 
 def test_block_sampler_splits_blocks():
     cfg = cfg_ratio(3.0)
-    block = geometry.block_size(cfg)
+    block = geometry._block_size(cfg)
     assert 1 < block < 1000
     for count in (1, block, block + 1):
         _block_matches_scalar(cfg, count, 26)
-    assert sample_typical_clusters(cfg, []) == []
+    assert list(sample_typical_clusters(cfg, [])) == []
     # block sizes shrink with the window's station count
-    assert geometry.block_size(cfg_ratio(30.0)) < block
-    assert geometry.block_size(cfg_ratio(1000.0)) >= 1
+    assert geometry._block_size(cfg_ratio(30.0)) < block
+    assert geometry._block_size(cfg_ratio(1000.0)) >= 1
+
+
+def test_block_sampler_consumes_streams_lazily():
+    # a collection hands the sampler a generator of up to cli.MAX_TRIALS
+    # streams: it holds no more than one block of them at a time, and gives
+    # the list form's results
+    cfg = cfg_ratio(3.0)
+    block = geometry._block_size(cfg)
+    count = 2 * block + 1
+    made = []
+
+    def streams():
+        for i in range(count):
+            made.append(i)
+            yield np.random.default_rng((28, i))
+
+    lazy = sample_typical_clusters(cfg, streams())
+    assert made == []
+    got = [next(lazy)]
+    assert len(made) <= block
+    got += lazy
+    want = list(sample_typical_clusters(
+        cfg, [np.random.default_rng((28, i)) for i in range(count)]))
+    assert len(made) == len(got) == len(want) == count
+    for (rng_a, *a), (rng_b, *b) in zip(got, want):
+        _assert_same_draw(a, b)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 def test_block_sampler_refuses_before_any_draw():
@@ -447,6 +499,11 @@ def test_block_sampler_refuses_before_any_draw():
     with pytest.raises(DomainError):
         sample_typical_clusters(cfg, [rng])
     assert rng.bit_generator.state == state
+    # nor does it read a stream of a lazy iterable
+    made = []
+    with pytest.raises(DomainError):
+        sample_typical_clusters(cfg, (made.append(i) for i in range(3)))
+    assert made == []
 
 
 def test_typical_user_count_dominates_pmf_n():
@@ -459,13 +516,9 @@ def test_typical_user_count_dominates_pmf_n():
     draws = 8000
     for ratio in (1.0, 3.0, 6.0):
         cfg = cfg_ratio(ratio, seed=99)
-        step = geometry.block_size(cfg)
-        counts = []
-        for lo in range(0, draws, step):
-            rngs = [np.random.default_rng((99, i))
-                    for i in range(lo, min(lo + step, draws))]
-            counts += [cl.n_interferers
-                       for cl, _ in sample_typical_clusters(cfg, rngs)]
+        streams = (np.random.default_rng((99, i)) for i in range(draws))
+        counts = [cl.n_interferers
+                  for _, cl, _ in sample_typical_clusters(cfg, streams)]
         cdf = np.cumsum(np.bincount(counts)) / draws
         pmf_cdf = np.cumsum([analysis.pmf_n(n, ratio) for n in range(len(cdf))])
         ci = 1.96 * np.sqrt(cdf * (1.0 - cdf) / draws)
