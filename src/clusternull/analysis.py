@@ -620,49 +620,58 @@ def rate_loss_ub_equal(cfg, b_tot, bias=True):
             + math.log2(cfg.inv_snr + e_iout + term_res * e_near))
 
 
-def rate_loss_adaptive_rows(rows, cfg, b_tot):
-    """Per-realization rate-loss bound at the adaptive integer allocation
-    of b_tot bits, for each row of `rows`: the ascending intra-cluster
-    distances of realizations that share one interferer count n, shape
-    (m, n).
+def rate_loss_adaptive_rows(rows, cfg, b_tots):
+    """Per-realization rate-loss bound at the adaptive integer allocation,
+    for each row of `rows` (the ascending intra-cluster distances of
+    realizations that share one interferer count n, shape (m, n)) and each
+    budget of `b_tots`.
 
-    Returns the m losses.  The low-/high-SNR form is selected by each row's
-    regime flag.  E{I_out} and E{log2(I_out + 1/SNR)} come from their
-    per-config caches.  The closed form runs per row on Python floats,
-    whose powers and logarithms are the C library's, so a row's loss does
-    not depend on its batch.
+    Returns the losses, shape (len(b_tots), m).  The low-/high-SNR form is
+    selected by each row's regime flag.  One `adaptive_decision` serves
+    every budget, and each row's product term over its k nearest
+    interferers is computed once for all the budgets that give it an
+    effective set of size k.  E{I_out} and E{log2(I_out + 1/SNR)} come from
+    their per-config caches.  The closed form runs per row on Python
+    floats, whose powers and logarithms are the C library's, so a row's
+    loss does not depend on its batch or on the other budgets.
     """
     m, n = rows.shape
     n_t = n + _require_follow(cfg)
     if n_t <= 1:
-        return np.zeros(m)
+        return np.zeros((len(b_tots), m))
     e_iout = expected_iout(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
     e_log = expected_log2_iout_plus(cfg.lambda_b, cfg.lambda_c, cfg.alpha,
                                     cfg.inv_snr)
     floor = e_iout + cfg.inv_snr
-    b0, size, residual = feedback.adaptive_decision(
-        rows, b_tot, n_t, cfg.alpha, e_iout, cfg.inv_snr)
+    log2_floor = math.log2(floor)
+    decisions = feedback.adaptive_decision(
+        rows, b_tots, n_t, cfg.alpha, e_iout, cfg.inv_snr)
     g1, g2 = feedback.rvq_gammas(n_t)
-    gm = np.zeros(m)                    # product term over each effective set
-    for k in set(size) - {0}:
-        sel = np.equal(size, k)
-        gm[sel] = ((1.0 + rows[sel, :k]) ** (-cfg.alpha / k)).prod(axis=1)
+    gm = {}             # k -> product term over each row's k nearest
+    for k in set().union(*(size for _, size, _ in decisions)) - {0}:
+        sel = np.zeros(m, dtype=bool)
+        for _, size, _ in decisions:
+            sel |= np.equal(size, k)
+        gm_k = np.zeros(m)
+        gm_k[sel] = ((1.0 + rows[sel, :k]) ** (-cfg.alpha / k)).prod(axis=1)
+        gm[k] = gm_k.tolist()
 
-    losses = []
-    for b0_i, k, res, gm_i in zip(b0, size, residual, gm.tolist()):
-        loss = _LOG2E * g1 * 2.0 ** (-b0_i / (n_t - 1.0)) - e_log
-        if k == 0:
-            loss += math.log2(floor)
-        elif res:
-            loss += (math.log2(g2 * k * gm_i)
-                     + (b0_i - b_tot) / (k * (n_t - 1.0)))
-        else:
-            b_i = b_tot - b0_i
-            loss += (math.log2(floor)
-                     + _LOG2E * g2 / floor * k * 2.0 ** (-b_i / (k * (n_t - 1.0)))
-                     * gm_i)
-        losses.append(loss)
-    return np.array(losses)
+    losses = np.empty((len(b_tots), m))
+    for row, b_tot, (b0, size, residual) in zip(losses, b_tots, decisions):
+        for i, (b0_i, k, res) in enumerate(zip(b0, size, residual)):
+            loss = _LOG2E * g1 * 2.0 ** (-b0_i / (n_t - 1.0)) - e_log
+            if k == 0:
+                loss += log2_floor
+            elif res:
+                loss += (math.log2(g2 * k * gm[k][i])
+                         + (b0_i - b_tot) / (k * (n_t - 1.0)))
+            else:
+                b_i = b_tot - b0_i
+                loss += (log2_floor
+                         + _LOG2E * g2 / floor * k
+                         * 2.0 ** (-b_i / (k * (n_t - 1.0))) * gm[k][i])
+            row[i] = loss
+    return losses
 
 
 def rate_loss_ub_adaptive(cfg, b_tots, geometry_trials=2000):
@@ -687,8 +696,7 @@ def rate_loss_ub_adaptive(cfg, b_tots, geometry_trials=2000):
     losses = np.empty((len(budgets), geometry_trials))
     for n, (draws, rows) in by_count.items():
         stacked = np.array(rows).reshape(len(draws), n)
-        for j, b_tot in enumerate(budgets):
-            losses[j, draws] = rate_loss_adaptive_rows(stacked, cfg, b_tot)
+        losses[:, draws] = rate_loss_adaptive_rows(stacked, cfg, budgets)
     # a running sum adds in draw order (np.sum would add pairwise)
     values = losses.cumsum(axis=1)[:, -1] / geometry_trials
     errors = losses.std(axis=1, ddof=1) / math.sqrt(geometry_trials)

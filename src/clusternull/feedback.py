@@ -5,11 +5,13 @@ feedback budget across channels.
 An allocation is a plain pair (b0, b_intra): the bits of the desired
 channel and the integer bits per interferer, aligned with the ascending
 interferer distances.  The adaptive rule has one implementation,
-`adaptive_decision`, over a batch of same-size interferer-distance rows;
-`adaptive_allocation` is its one-row case plus the integer interferer
-shares.  Path losses and their prefix sums are array operations over the
-rows, and the closed forms run per row on Python floats, so a row's result
-does not depend on the batch it is in."""
+`adaptive_decision`, over a batch of same-size interferer-distance rows
+and every budget at once; `adaptive_allocations` is its one-row case plus
+the integer interferer shares, and `adaptive_allocation` that at one
+budget.  Path losses and their prefix sums are array operations over the
+rows, computed once for all budgets, and the closed forms run per row on
+Python floats, so a row's result does not depend on the batch it is in or
+on the other budgets."""
 
 import math
 
@@ -33,9 +35,8 @@ def sample_rvq_sin2(n_t, bits, u):
     codewords, at O(1) cost for any bit count.
     """
     if n_t == 1:
-        return np.zeros_like(np.asarray(u, dtype=float))
-    u = np.asarray(u, dtype=float)
-    log_u = np.log(np.clip(u, 1e-300, 1.0))
+        return np.zeros_like(u, dtype=float)
+    log_u = np.log(np.minimum(np.maximum(u, 1e-300), 1.0))
     return (-np.expm1(log_u * 2.0 ** (-float(bits)))) ** (1.0 / (n_t - 1))
 
 
@@ -131,91 +132,107 @@ def _integerize_largest_remainder(real_bits, total):
     return floors
 
 
-def adaptive_decision(rows, b_tot, n_t, alpha, e_iout, inv_snr):
+def adaptive_decision(rows, b_tots, n_t, alpha, e_iout, inv_snr):
     """The adaptive rule for a batch of interferer-distance rows of one
-    size n, each ascending, at n_t >= 2 antennas.  Returns the lists
-    (b0, size, residual): the bits of the desired channel, the
-    effective-set size (the set is that many nearest interferers) and
-    whether the residual term dominates, one entry per row.  A row's
-    decisions depend on that row alone.
+    size n, each ascending, at n_t >= 2 antennas, at every budget of
+    `b_tots`.  Returns one triple of lists (b0, size, residual) per budget:
+    the bits of the desired channel, the effective-set size (the set is
+    that many nearest interferers) and whether the residual term
+    dominates, one entry per row.  A row's decisions depend on that row
+    and budget alone.
 
     Fixed-point order: the residual-vs-inter-cluster regime is first tested
     at the equal-split candidate, the dominant-inter-cluster closed form for
     b0 is evaluated on that candidate's effective set, and the regime is
     re-tested at the resulting allocation before committing.  A row whose
     final effective set is empty gives the whole budget to the desired
-    channel.  Path losses and their sums run on arrays over the rows; the
-    tests and closed forms run per row on Python floats.
+    channel.  Path losses, their sums and prefix sums and the effective-set
+    tests' left sides run once on arrays over the rows and serve every
+    budget; the tests and closed forms run per row on Python floats.
     """
     m, n = rows.shape
     noise_floor = e_iout + inv_snr
-    b_eq = b_tot // (n + 1)
-    stir_eq = rvq_mean_interference_stirling(n_t, b_eq)
+    log2_floor = math.log2(noise_floor)
     one_r = 1.0 + rows
-    res_eq = (np.add.reduce(one_r ** (-alpha), axis=1) * stir_eq).tolist()
-    residual = [res > noise_floor for res in res_eq]
+    pl_sum = np.add.reduce(one_r ** (-alpha), axis=1)
     log2_1r = np.log2(one_r)
     log2_pl = alpha * log2_1r                  # -log2 of (1+r)^(-alpha)
     lhs = {}
-    sizes = _effective_sizes(log2_pl, [n * b_eq] * m, n_t, lhs)
-
-    b0 = [b_tot] * m
-    sum_log2 = {k: np.add.reduce(log2_1r[:, :k], axis=1).tolist()
-                for k in set(sizes) - {0}}
+    sum_log2 = {}           # prefix length -> each row's sum of log2(1 + r)
     gamma1, gamma2 = rvq_gammas(n_t)
-    for i, k in enumerate(sizes):
-        if k == 0:
-            continue
-        log2_gm = -(alpha / k) * sum_log2[k][i]    # log2 of the product term
-        if residual[i]:
-            b0_real = (n_t - 1.0) * math.log2(k * gamma1)
-        else:
-            coef = (n_t - 1.0) * k / (k + 1.0)
-            b0_real = (b_tot / (k + 1.0)
-                       - coef * (math.log2(n_t * k / (n_t - 1.0)) + log2_gm)
-                       + coef * math.log2(noise_floor))
-            b0_real = min(max(b0_real, 0.0), float(b_tot))
-            # re-test the regime at the dominant-inter-cluster solution
-            res_opt = gamma2 * k * 2.0 ** (-(b_tot - b0_real) / (k * (n_t - 1.0))) \
-                * 2.0 ** log2_gm
-            if res_opt > noise_floor:
-                residual[i] = True
+    decisions = []
+    for b_tot in b_tots:
+        b_eq = b_tot // (n + 1)
+        res_eq = (pl_sum * rvq_mean_interference_stirling(n_t, b_eq)).tolist()
+        residual = [res > noise_floor for res in res_eq]
+        sizes = _effective_sizes(log2_pl, [n * b_eq] * m, n_t, lhs)
+        for k in set(sizes) - {0} - sum_log2.keys():
+            sum_log2[k] = np.add.reduce(log2_1r[:, :k], axis=1).tolist()
+
+        b0 = [b_tot] * m
+        for i, k in enumerate(sizes):
+            if k == 0:
+                continue
+            log2_gm = -(alpha / k) * sum_log2[k][i]    # log2 of the product term
+            if residual[i]:
                 b0_real = (n_t - 1.0) * math.log2(k * gamma1)
-        b0_real = min(max(b0_real, 0.0), float(b_tot))
-        if residual[i]:
-            b0[i] = int(min(math.ceil(b0_real), b_tot))
-        else:
-            b0[i] = int(math.floor(b0_real))
+            else:
+                coef = (n_t - 1.0) * k / (k + 1.0)
+                b0_real = (b_tot / (k + 1.0)
+                           - coef * (math.log2(n_t * k / (n_t - 1.0)) + log2_gm)
+                           + coef * log2_floor)
+                b0_real = min(max(b0_real, 0.0), float(b_tot))
+                # re-test the regime at the dominant-inter-cluster solution
+                res_opt = gamma2 * k * 2.0 ** (-(b_tot - b0_real) / (k * (n_t - 1.0))) \
+                    * 2.0 ** log2_gm
+                if res_opt > noise_floor:
+                    residual[i] = True
+                    b0_real = (n_t - 1.0) * math.log2(k * gamma1)
+            b0_real = min(max(b0_real, 0.0), float(b_tot))
+            if residual[i]:
+                b0[i] = int(min(math.ceil(b0_real), b_tot))
+            else:
+                b0[i] = int(math.floor(b0_real))
 
-    sizes = _effective_sizes(log2_pl, [b_tot - b for b in b0], n_t, lhs)
-    b0 = [b if k else b_tot for b, k in zip(b0, sizes)]
-    return b0, sizes, residual
+        sizes = _effective_sizes(log2_pl, [b_tot - b for b in b0], n_t, lhs)
+        b0 = [b if k else b_tot for b, k in zip(b0, sizes)]
+        decisions.append((b0, sizes, residual))
+    return decisions
 
 
-def adaptive_allocation(r_intra, b_tot, n_t, alpha, e_iout, inv_snr):
-    """Strength-aware split of b_tot (desired channel + effective
-    interferers) as an allocation (b0, b_intra).
+def adaptive_allocations(r_intra, b_tots, n_t, alpha, e_iout, inv_snr):
+    """Strength-aware split of each budget of `b_tots` (desired channel +
+    effective interferers) as allocations (b0, b_intra), one per budget.
 
-    `adaptive_decision` on the one row fixes b0 and the effective set.
-    Interferer bits follow the water-filling-style closed form on the
-    effective set, rounded by largest remainder so the budget binds
-    exactly.
+    One `adaptive_decision` on the row fixes b0 and the effective set at
+    every budget.  Interferer bits follow the water-filling-style closed
+    form on the effective set, rounded by largest remainder so the budget
+    binds exactly.
     """
     r_intra = np.asarray(r_intra, dtype=float)
     n = len(r_intra)
-    if b_tot < 1:
-        raise DomainError(f"adaptive_allocation needs b_tot >= 1, got {b_tot}")
-    b_intra = np.zeros(n, dtype=int)
+    for b_tot in b_tots:
+        if b_tot < 1:
+            raise DomainError(f"adaptive_allocation needs b_tot >= 1, got {b_tot}")
     if n == 0:
-        return int(b_tot), b_intra
+        return [(int(b_tot), np.zeros(0, dtype=int)) for b_tot in b_tots]
     if np.any(np.diff(r_intra) < 0):
         raise DomainError("r_intra must be sorted ascending")
 
-    (b0,), (kf,), _ = adaptive_decision(
-        r_intra[None, :], b_tot, n_t, alpha, e_iout, inv_snr)
-    if kf:
-        b_i = b_tot - b0
-        log2_pl = -alpha * np.log2(1.0 + r_intra[:kf])
-        shares = b_i / kf + (n_t - 1.0) * (log2_pl - log2_pl.mean())
-        b_intra[:kf] = _integerize_largest_remainder(shares, b_i)
-    return b0, b_intra
+    allocations = []
+    decisions = adaptive_decision(r_intra[None, :], b_tots, n_t, alpha,
+                                  e_iout, inv_snr)
+    for b_tot, ((b0,), (kf,), _) in zip(b_tots, decisions):
+        b_intra = np.zeros(n, dtype=int)
+        if kf:
+            b_i = b_tot - b0
+            log2_pl = -alpha * np.log2(1.0 + r_intra[:kf])
+            shares = b_i / kf + (n_t - 1.0) * (log2_pl - log2_pl.mean())
+            b_intra[:kf] = _integerize_largest_remainder(shares, b_i)
+        allocations.append((b0, b_intra))
+    return allocations
+
+
+def adaptive_allocation(r_intra, b_tot, n_t, alpha, e_iout, inv_snr):
+    """`adaptive_allocations` at the one budget b_tot: (b0, b_intra)."""
+    return adaptive_allocations(r_intra, [b_tot], n_t, alpha, e_iout, inv_snr)[0]

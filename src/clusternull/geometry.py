@@ -32,14 +32,29 @@ order (`_draw`), so every stream's tape is the same whatever the block
 holds.  One rejection loop serves a lone stream and a block alike: each
 pass extracts its usable realizations together, through
 `build_typical_cluster` when a pass holds one and through the padded
-block extractor (a vectorized cell clip with `_clip`'s arithmetic, and
-`math.hypot` for the reach, which `np.hypot` may round differently) when
-it holds more.  Both give the same floats, field for field.
+block extractor (a vectorized cell clip with `_clip`'s arithmetic, whose
+last few rows finish on the scalar loop, and `math.hypot` for the reach,
+which `np.hypot` may round differently) when it holds more.  Both give the
+same floats, field for field.
+
+The block extractor maps only the base stations its reader needs.  Each
+station's radius key, R sqrt(u) from its radius uniform (or its distance,
+for realizations given as points), is within a few ulps of its distance
+np.hypot(x, y).  So the serving station is the first nearest of those
+keyed within 1e-9 of the row's least key, and a candidate member, being
+within lim of c0, is keyed within |c0| + lim; only those stations get
+coordinates, from the same elementwise `_disk_points`, and distances.  A
+cluster's `out_dist` (every other station's distance) is built on its
+first read, for the whole pass at once (`_out_distances`): the pass's
+coordinates and distances, less the serving stations and members, split
+in index order.  The adaptive rate-loss bound reads no `out_dist`, so it
+never maps the stations outside the serving clusters; a trial reads it.
 """
 
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Union
 
 import numpy as np
@@ -59,6 +74,9 @@ _MAX_ATTEMPTS = 1000        # realizations a stream may draw for one cluster
 # all, so each padded block array stays near 1 MB.
 _BLOCK_STREAMS = 256
 _BLOCK_STATIONS = 2 ** 17
+# rows of a block's cell clip that finish on the scalar clip loop once no
+# more of them are still clipping
+_CLIP_TAIL_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -138,8 +156,16 @@ class TypicalCluster:
     r0: float                 # user -> serving BS
     intra_dist: np.ndarray    # user -> other BSs of the serving cluster, ascending
     r_m: float                # inscribed radius of the cluster cell
-    out_dist: np.ndarray      # user -> every other BS in the window
     cell_reach: float         # farthest cluster-cell vertex from the user
+    # `out_dist`, or a callable that builds it on first read
+    _out: object = field(repr=False, compare=False)
+
+    @property
+    def out_dist(self):
+        """User -> every other BS in the window."""
+        if callable(self._out):
+            self._out = self._out()
+        return self._out
 
     @property
     def n_interferers(self):
@@ -179,10 +205,14 @@ def _draw(rng, mean_b, mean_c):
     return [rng.random(n) for n in (n_b, n_b, n_c, n_c)]
 
 
-def _disk_points(radius, u_r, u_theta):
-    """(x, y) of the uniform points on the disk of `radius` that the radius
-    uniforms u_r and angle uniforms u_theta give."""
-    r = radius * np.sqrt(u_r)
+def _disk_radii(radius, u_r):
+    """Distances from the centre of the uniform points on the disk of
+    `radius` that the radius uniforms u_r give."""
+    return radius * np.sqrt(u_r)
+
+
+def _disk_points(r, u_theta):
+    """(x, y) of the points at `_disk_radii` r and angle uniforms u_theta."""
     theta = 2.0 * math.pi * u_theta
     return r * np.cos(theta), r * np.sin(theta)
 
@@ -190,8 +220,9 @@ def _disk_points(radius, u_r, u_theta):
 def _realization(radius, draw):
     """The deployment that one `_draw` gives on the window of `radius`."""
     bs, clusters = (np.empty((len(u_r), 2)) for u_r in draw[::2])
-    bs[:, 0], bs[:, 1] = _disk_points(radius, *draw[:2])
-    clusters[:, 0], clusters[:, 1] = _disk_points(radius, *draw[2:])
+    bs[:, 0], bs[:, 1] = _disk_points(_disk_radii(radius, draw[0]), draw[1])
+    clusters[:, 0], clusters[:, 1] = _disk_points(_disk_radii(radius, draw[2]),
+                                                  draw[3])
     return NetworkRealization(bs_points=bs, cluster_points=clusters,
                               window_radius=radius)
 
@@ -260,14 +291,9 @@ def build_typical_cluster(net):
     x0, x1 = -net.window_radius - c0x, net.window_radius - c0x
     y0, y1 = -net.window_radius - c0y, net.window_radius - c0y
     poly = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-    reach2 = max(x * x + y * y for x, y in poly)
-    for (ax, ay), d in zip(delta[order].tolist(), dist[order].tolist()):
-        if d * d > 4.0 * reach2:
-            break
-        cut = _clip(poly, ax, ay, 0.5 * (ax * ax + ay * ay))
-        if cut != poly:  # about half the clips cut nothing
-            poly = cut
-            reach2 = max(x * x + y * y for x, y in poly)
+    poly, reach2 = _clip_cell(poly, max(x * x + y * y for x, y in poly),
+                              delta[order, 0].tolist(), delta[order, 1].tolist(),
+                              dist[order].tolist())
     cell_reach = max(math.hypot(x + c0x, y + c0y) for x, y in poly)
 
     # members lie in the cut cell, so within its farthest vertex of c0; the
@@ -286,13 +312,23 @@ def build_typical_cluster(net):
     others[serving] = False
     out_dist = bs_dist[others]
 
-    return TypicalCluster(
-        r0=r0,
-        intra_dist=intra_dist,
-        r_m=r_m,
-        out_dist=out_dist,
-        cell_reach=cell_reach,
-    )
+    return TypicalCluster(r0=r0, intra_dist=intra_dist, r_m=r_m,
+                          cell_reach=cell_reach, _out=out_dist)
+
+
+def _clip_cell(poly, reach2, ax, ay, d):
+    """The cell `poly`, of squared reach reach2 from c0, clipped by the
+    bisectors of the cluster stations at offsets (ax, ay) and distances d
+    from c0, nearest first, up to the stop rule: (vertex list, squared
+    reach)."""
+    for a_x, a_y, dist in zip(ax, ay, d):
+        if dist * dist > 4.0 * reach2:
+            break
+        cut = _clip(poly, a_x, a_y, 0.5 * (a_x * a_x + a_y * a_y))
+        if cut != poly:  # about half the clips cut nothing
+            poly = cut
+            reach2 = max(x * x + y * y for x, y in poly)
+    return poly, reach2
 
 
 def typical_bs_cluster_counts(net):
@@ -366,29 +402,29 @@ def _sample(streams, step, radius, mean_b, mean_c):
 
 def _extract(radius, draws):
     """The typical clusters of one pass's usable draws: a lone realization
-    through `build_typical_cluster`, more through the padded extractor."""
+    through `build_typical_cluster`, more through the padded extractor,
+    keyed by their `_disk_radii`."""
     if len(draws) < 2:
         return [build_typical_cluster(_realization(radius, d)) for d in draws]
-    u_rb, u_tb, u_rc, u_tc = zip(*draws)
-
-    def rows(u_r, u_theta):
-        return _padded_rows(*_disk_points(radius, np.concatenate(u_r),
-                                          np.concatenate(u_theta)),
-                            np.array([len(u) for u in u_r]))
-
-    return _extract_block(np.full(len(draws), radius),
-                          rows(u_rb, u_tb), rows(u_rc, u_tc))
+    u_rb, u_tb, u_rc, u_tc = (np.concatenate(u) for u in zip(*draws))
+    n_b, n_c = (np.array([len(d[i]) for d in draws]) for i in (0, 2))
+    r_b = _disk_radii(radius, u_rb)
+    return _extract_block(
+        np.full(len(draws), radius),
+        (*_padded(n_b, r_b), n_b, lambda idx: _disk_points(r_b[idx], u_tb[idx])),
+        (*_padded(n_c, *_disk_points(_disk_radii(radius, u_rc), u_tc)), n_c))
 
 
-def _padded_rows(x, y, counts):
-    """(x, y, counts) with row i holding the next counts[i] points of the
-    flat coordinates x and y, padded with inf: padding sorts last and never
-    wins an argmin."""
+def _padded(counts, *flat):
+    """Each flat array as rows, row i holding its next counts[i] entries,
+    padded with inf: padding sorts last and never wins an argmin."""
     used = np.arange(counts.max()) < counts[:, None]
-    px = np.full(used.shape, np.inf)
-    py = np.full(used.shape, np.inf)
-    px[used], py[used] = x, y
-    return px, py, counts
+    rows = []
+    for values in flat:
+        row = np.full(used.shape, np.inf)
+        row[used] = values
+        rows.append(row)
+    return rows
 
 
 def build_typical_clusters(nets):
@@ -397,29 +433,43 @@ def build_typical_clusters(nets):
     lacks base or cluster stations."""
     if any(len(net.bs_points) == 0 or len(net.cluster_points) < 2 for net in nets):
         raise DegenerateRealizationError("window lacks base or cluster stations")
-
-    def rows(points):
-        flat = np.concatenate(points)
-        return _padded_rows(flat[:, 0], flat[:, 1],
-                            np.array([len(p) for p in points]))
-
-    return _extract_block(np.array([net.window_radius for net in nets]),
-                          rows([net.bs_points for net in nets]),
-                          rows([net.cluster_points for net in nets]))
+    n_b, n_c = (np.array([len(p) for p in points]) for points in (
+        [net.bs_points for net in nets], [net.cluster_points for net in nets]))
+    bs = np.concatenate([net.bs_points for net in nets])
+    clusters = np.concatenate([net.cluster_points for net in nets])
+    return _extract_block(
+        np.array([net.window_radius for net in nets]),
+        (*_padded(n_b, np.hypot(bs[:, 0], bs[:, 1])), n_b,
+         lambda idx: (bs[idx, 0], bs[idx, 1])),
+        (*_padded(n_c, clusters[:, 0], clusters[:, 1]), n_c))
 
 
 def _extract_block(radius, bs, clusters):
     """The typical clusters of a block of realizations, row for row the
-    floats of `build_typical_cluster`: window radii, and padded (x, y,
-    count) rows of base stations (at least one a row) and of cluster
-    stations (at least two)."""
-    bx, by, n_b = bs
+    floats of `build_typical_cluster`: window radii; base stations (at
+    least one a row) as (keys, counts, points), the keys padded rows of
+    each station's distance from the user to within a few ulps, and
+    points(i) the (x, y) of the stations at flat indices i (row by row);
+    and padded (x, y, count) rows of cluster stations (at least two).
+
+    Only the stations whose keys can place them nearest the user, or in
+    the serving cell, are mapped; the others' distances are built for the
+    whole block on the first read of an `out_dist` (`_out_distances`)."""
+    key, n_b, points = bs
     cx, cy, _ = clusters
     rows = np.arange(len(radius))
-    bs_dist = np.hypot(bx, by)
-    serving = bs_dist.argmin(axis=1)
-    dx = bx[rows, serving, None] - cx
-    dy = by[rows, serving, None] - cy
+    first = n_b.cumsum() - n_b              # flat index of each row's station 0
+
+    # a station keyed past 1e-9 above its row's least key is farther than
+    # that one: the first nearest of the rest is the full argmin
+    lead_r, lead_j = np.nonzero(key <= (key.min(axis=1) * (1.0 + 1e-9))[:, None])
+    lead_x, lead_y = points(first[lead_r] + lead_j)
+    lead_d = np.hypot(lead_x, lead_y)
+    # by row, then distance; the sort is stable, so ties keep index order
+    pick = np.lexsort((lead_d, lead_r))[np.searchsorted(lead_r, rows)]
+    serving, r0 = lead_j[pick], lead_d[pick]
+    dx = lead_x[pick, None] - cx
+    dy = lead_y[pick, None] - cy
     c0_idx = (dx * dx + dy * dy).argmin(axis=1)
     c0x, c0y = cx[rows, c0_idx], cy[rows, c0_idx]
     delta_x, delta_y = cx - c0x[:, None], cy - c0y[:, None]
@@ -437,10 +487,16 @@ def _extract_block(radius, bs, clusters):
     # round-off), each associated among the cluster stations within twice
     # that reach of c0, in index order.  Every station nearest to a
     # candidate, or tied with the nearest, lies there, so the argmin is
-    # `nearest_cluster`'s.
+    # `nearest_cluster`'s.  A candidate lies within |c0| + lim of the user,
+    # so only the stations keyed there (with a margin for the keys) are
+    # mapped and tested.
     lim = np.sqrt(reach2) * (1.0 + 1e-9) * (1.0 + 1e-9)
-    ox, oy = bx - c0x[:, None], by - c0y[:, None]
-    cand_r, cand_j = np.nonzero(ox * ox + oy * oy <= (lim * lim)[:, None])
+    key_lim = (np.hypot(c0x, c0y) + lim) * (1.0 + 1e-6)
+    cand_r, cand_j = np.nonzero(key <= key_lim[:, None])
+    bx, by = points(first[cand_r] + cand_j)
+    ox, oy = bx - c0x[cand_r], by - c0y[cand_r]
+    cand = ox * ox + oy * oy <= (lim * lim)[cand_r]
+    cand_r, cand_j, bx, by = cand_r[cand], cand_j[cand], bx[cand], by[cand]
     near = dist <= 2.0 * lim[:, None]
     near_count = near.sum(axis=1)
     slots = np.arange(near_count.max()) < near_count[:, None]
@@ -451,23 +507,46 @@ def _extract_block(radius, bs, clusters):
     near_x[slots] = cx[near_r, near_j]
     near_y[slots] = cy[near_r, near_j]
     near_idx[slots] = near_j
-    ddx = bx[cand_r, cand_j, None] - near_x[cand_r]
-    ddy = by[cand_r, cand_j, None] - near_y[cand_r]
+    ddx = bx[:, None] - near_x[cand_r]
+    ddy = by[:, None] - near_y[cand_r]
     nearest = near_idx[cand_r, (ddx * ddx + ddy * ddy).argmin(axis=1)]
-    member = nearest == c0_idx[cand_r]
+    member = (nearest == c0_idx[cand_r]) & (cand_j != serving[cand_r])
 
-    same = np.zeros(bx.shape, dtype=bool)
-    same[cand_r[member], cand_j[member]] = True
-    same[rows, serving] = False
-    others = ~same & (np.arange(bx.shape[1]) < n_b[:, None])
-    others[rows, serving] = False
-    same_r, same_j = np.nonzero(same)
-    intra = bs_dist[same_r, same_j]
-    intra = _split(intra[np.lexsort((intra, same_r))], same.sum(axis=1))
-    out = _split(bs_dist[others], others.sum(axis=1))
-    return [TypicalCluster(r0=r0, intra_dist=a, r_m=m, out_dist=b, cell_reach=c)
-            for r0, a, m, b, c in zip(bs_dist[rows, serving].tolist(), intra,
-                                      r_m.tolist(), out, cell_reach)]
+    same_r = cand_r[member]
+    intra = np.hypot(bx[member], by[member])
+    members = np.bincount(same_r, minlength=len(rows))
+    intra = _split(intra[np.lexsort((intra, same_r))], members)
+    out = _lazy_out(points, np.concatenate([first + serving,
+                                            first[same_r] + cand_j[member]]),
+                    n_b - 1 - members)
+    return [TypicalCluster(r0=a, intra_dist=b, r_m=c, cell_reach=d,
+                           _out=partial(out, i))
+            for i, (a, b, c, d) in enumerate(zip(r0.tolist(), intra,
+                                                 r_m.tolist(), cell_reach))]
+
+
+def _lazy_out(points, drop, counts):
+    """row(i), the `out_dist` of row i of one `_extract_block` call: the
+    block's stations (points, as `_extract_block` takes them) less the flat
+    indices `drop` of the serving stations and members, `counts` a row.
+    The first call builds every row's."""
+    rows = []
+
+    def row(i):
+        if not rows:
+            rows.extend(_out_distances(points, drop, counts))
+        return rows[i]
+
+    return row
+
+
+def _out_distances(points, drop, counts):
+    """The distances from the user of every station of `points` but the
+    flat indices `drop`, cut into rows of `counts`, in index order."""
+    x, y = points(slice(None))
+    keep = np.ones(len(x), dtype=bool)
+    keep[drop] = False
+    return _split(np.hypot(x, y)[keep], counts)
 
 
 def _split(flat, counts):
@@ -481,46 +560,68 @@ def _clip_cells(radius, c0x, c0y, delta_x, delta_y, dist, order):
     (vertex list, squared reach) a row, the floats of its clip loop.
 
     Every row still clipping cuts by its next-nearest station at once, with
-    `_clip`'s arithmetic and vertex order and the same stop rule.  A row
-    holds its polygon closed, its last vertex before vertex 0, and padded
-    with nan, which neither crosses nor keeps."""
+    `_clip`'s arithmetic and vertex order and the same stop rule, until at
+    most _CLIP_TAIL_ROWS rows are; those finish on `_clip_cell`.  A row
+    holds its polygon's x and y closed, its last vertex before vertex 0,
+    and padded with nan, which neither crosses nor keeps."""
     x0, x1 = -radius - c0x, radius - c0x
     y0, y1 = -radius - c0y, radius - c0y
-    poly = np.stack([np.stack([x0, x0, x1, x1, x0], axis=1),
-                     np.stack([y1, y0, y0, y1, y1], axis=1)])
-    p2 = poly * poly
-    reach2 = (p2[0] + p2[1]).max(axis=1)
+    px = np.stack([x0, x0, x1, x1, x0], axis=1)
+    py = np.stack([y1, y0, y0, y1, y1], axis=1)
+    reach2 = (px * px + py * py).max(axis=1)
     n = np.full(len(c0x), 4)
     live = np.arange(len(c0x))
-    finished = []           # (rows, polygons, counts, squared reaches)
+    finished = []           # (rows, polygons' x and y, counts, squared reaches)
+    k = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(order.shape[1]):
+        while len(live) > _CLIP_TAIL_ROWS and k < order.shape[1]:
             j = order[live, k]
             ax, ay, d = delta_x[live, j], delta_y[live, j], dist[live, j]
             go = d * d <= 4.0 * reach2
             if not go.all():
-                finished.append((live[~go], poly[:, ~go], n[~go], reach2[~go]))
-                live, poly, n, reach2 = live[go], poly[:, go], n[go], reach2[go]
+                finished.append((live[~go], px[~go], py[~go], n[~go], reach2[~go]))
+                live, px, py, n, reach2 = live[go], px[go], py[go], n[go], reach2[go]
                 if not len(live):
                     break
                 ax, ay = ax[go], ay[go]
-            s = (ax[:, None] * poly[0] + ay[:, None] * poly[1]
+            s = (ax[:, None] * px + ay[:, None] * py
                  - (0.5 * (ax * ax + ay * ay))[:, None])
             sp, sq = s[:, :-1], s[:, 1:]
-            p, q = poly[:, :, :-1], poly[:, :, 1:]
             # per vertex i: the crossing on the edge into it, then vertex i
-            emit = np.stack((sp * sq < 0.0, sq <= 0.0), axis=2)
-            out = np.stack((p + sp / (sp - sq) * (q - p), q), axis=3)
+            emit = np.empty(sq.shape + (2,), dtype=bool)
+            np.less(sp * sq, 0.0, out=emit[:, :, 0])
+            np.less_equal(sq, 0.0, out=emit[:, :, 1])
             n = emit.sum(axis=(1, 2))
-            poly = np.full((2, len(live), n.max() + 1), np.nan)
-            poly[:, :, 1:][:, np.arange(n.max()) < n[:, None]] = out[:, emit]
-            poly[:, :, 0] = poly[:, np.arange(len(live)), n]
-            p2 = poly * poly
-            reach2 = np.fmax.reduce(p2[0] + p2[1], axis=1)
-    finished.append((live, poly, n, reach2))
+            # flat positions: the emitted entries, their slots 1..n in the
+            # new rows, and each new row's last vertex
+            width = n.max() + 1
+            src = np.flatnonzero(emit)
+            slot = np.arange(width)
+            dst = np.flatnonzero((slot >= 1) & (slot <= n[:, None]))
+            last = np.arange(len(live)) * width + n
+            t = sp / (sp - sq)
+            polys = []
+            for v in (px, py):
+                p, q = v[:, :-1], v[:, 1:]
+                out = np.empty(emit.shape)
+                np.add(p, t * (q - p), out=out[:, :, 0])
+                out[:, :, 1] = q
+                v = np.full((len(live), width), np.nan)
+                v.put(dst, out.take(src))
+                v[:, 0] = v.take(last)
+                polys.append(v)
+            px, py = polys
+            reach2 = np.fmax.reduce(px * px + py * py, axis=1)
+            k += 1
     cells = [None] * len(c0x)
-    for rows, poly, n, reach2 in finished:
-        for row, x, y, m, r2 in zip(rows.tolist(), poly[0].tolist(),
-                                    poly[1].tolist(), n.tolist(), reach2.tolist()):
+    for rows, xs, ys, counts, reaches in finished:
+        for row, x, y, m, r2 in zip(rows.tolist(), xs.tolist(), ys.tolist(),
+                                    counts.tolist(), reaches.tolist()):
             cells[row] = list(zip(x[1:m + 1], y[1:m + 1])), r2
+    for row, x, y, m, r2 in zip(live.tolist(), px.tolist(), py.tolist(),
+                                n.tolist(), reach2.tolist()):
+        rest = order[row, k:]
+        cells[row] = _clip_cell(list(zip(x[1:m + 1], y[1:m + 1])), r2,
+                                delta_x[row, rest].tolist(),
+                                delta_y[row, rest].tolist(), dist[row, rest].tolist())
     return cells

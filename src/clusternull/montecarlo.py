@@ -21,13 +21,20 @@ rejection loop that serves a lone stream and a block of streams alike and
 picks its extractor by the size of each pass.  A collection hands it the
 generator of its trials' streams and each trial the cluster drawn on its
 stream, for the first attempt; the trial then draws the rest of its tape
-from its own stream.
+from its own stream.  The first trial of a block pass to read its
+cluster's `out_dist` builds the out-of-cluster distances of the whole
+pass.
 
 A trial is a function of (cfg, rng, pairs) alone.  It reads two
 per-config constants, the Campbell mean of the interference beyond the
 window and the adaptive policy's E{I_out}, straight from `analysis`
 (which caches the latter per config), so a collection passes nothing to
 its trials but the config and the pairs.
+
+The allocations of a trial's pairs depend only on its cluster, so the
+trial makes them all before its first limited-feedback draw is used: one
+adaptive decision (`feedback.adaptive_allocations`) serves every adaptive
+budget, and each equal split is a closed form.
 
 Every beamformer of a trial nulls the same directions, so the trial
 factors their basis once (`nulling_basis`, one QR and the collinearity
@@ -79,16 +86,25 @@ def _orthogonal_direction(raw, unit):
     return resid / norm
 
 
-def _make_allocation(policy, b_tot, cluster, n_t, cfg):
-    if policy == "equal-bias":
-        return feedback.equal_allocation(b_tot, cluster.n_interferers, True)
-    if policy == "equal-nobias":
-        return feedback.equal_allocation(b_tot, cluster.n_interferers, False)
-    if policy == "adaptive":
+def _allocations(pairs, cluster, n_t, cfg):
+    """The allocation (b0, b_intra) of each (policy, b_tot) pair; one
+    adaptive decision serves every adaptive budget."""
+    n = cluster.n_interferers
+    adaptive = [b_tot for policy, b_tot in pairs if policy == "adaptive"]
+    if adaptive:
         e_iout = analysis.expected_iout(cfg.lambda_b, cfg.lambda_c, cfg.alpha)
-        return feedback.adaptive_allocation(
-            cluster.intra_dist, b_tot, n_t, cfg.alpha, e_iout, cfg.inv_snr)
-    raise ValueError(f"unknown policy {policy!r}")
+        adaptive = iter(feedback.adaptive_allocations(
+            cluster.intra_dist, adaptive, n_t, cfg.alpha, e_iout, cfg.inv_snr))
+    allocations = []
+    for policy, b_tot in pairs:
+        if policy == "adaptive":
+            allocations.append(next(adaptive))
+        elif policy in ("equal-bias", "equal-nobias"):
+            allocations.append(feedback.equal_allocation(
+                b_tot, n, policy == "equal-bias"))
+        else:
+            raise ValueError(f"unknown policy {policy!r}")
+    return allocations
 
 
 def _check_pairs(pairs):
@@ -176,15 +192,20 @@ def _trial_from_cluster(cfg, cluster, rng, pairs, rejections):
         f0 = zf_null_beamformer(h_dir, basis)
     else:
         f0 = h_dir
-    des_ic = abs(chans.h0.conj() @ f0) ** 2 / l0
+    h0_conj = chans.h0.conj()
+    des_ic = abs(h0_conj @ f0) ** 2 / l0
     sinr_ic = des_ic / (i_out + inv_snr)
 
-    g_norm2 = np.linalg.norm(chans.g_intra, axis=1) ** 2
+    # the interferer loop reads Python floats: the same products as numpy
+    # scalars at a fraction of the cost
+    pl_intra = pl_intra.tolist()
+    g_norm2 = (np.linalg.norm(chans.g_intra, axis=1) ** 2).tolist()
+    u_intra, y_intra = u_intra.tolist(), y_intra.tolist()
+    zero_bit_fading = zero_bit_fading.tolist()
     # the quantization error's direction depends on the trial only
     e0 = _orthogonal_direction(w0_raw, h_dir) if n_t > 1 and pairs else None
     sinr_lf = []
-    for policy, b_tot in pairs:
-        b0, b_intra = _make_allocation(policy, b_tot, cluster, n_t, cfg)
+    for b0, b_intra in _allocations(pairs, cluster, n_t, cfg):
         if b0 >= 1 and n_t > 1:
             z0 = float(feedback.sample_rvq_sin2(n_t, b0, u0))
             h_hat = (math.sqrt(1.0 - z0) * h_dir
@@ -194,11 +215,10 @@ def _trial_from_cluster(cfg, cluster, rng, pairs, rejections):
         else:
             h_hat = w0_raw / np.linalg.norm(w0_raw)
         f0_hat = zf_null_beamformer(h_hat, basis) if n > 0 else h_hat
-        des_lf = abs(chans.h0.conj() @ f0_hat) ** 2 / l0
+        des_lf = abs(h0_conj @ f0_hat) ** 2 / l0
 
         i_res = 0.0
-        for ell in range(n):
-            bits = int(b_intra[ell])
+        for ell, bits in enumerate(b_intra.tolist()):
             if bits >= 1:
                 z = float(feedback.sample_rvq_sin2(n_t, bits, u_intra[ell]))
                 if n_t > 2:
@@ -239,6 +259,8 @@ class TrialArrays:
 
 
 def _worker_count():
+    """The CLUSTER_SIM_THREADS cap on worker processes (default 1); a
+    collection starts no more than its ranges or the CPUs can use."""
     raw = os.environ.get("CLUSTER_SIM_THREADS", "1")
     try:
         return max(1, int(raw))
@@ -276,7 +298,10 @@ def collect_trials(cfg, pairs=()):
         from concurrent.futures import ProcessPoolExecutor
         ranges = [(cfg, pairs, lo, min(lo + step, trials))
                   for lo in range(0, trials, step)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool starts all its workers at once: never more than the
+        # ranges or the CPUs can keep busy
+        with ProcessPoolExecutor(max_workers=min(workers, len(ranges),
+                                                 os.cpu_count() or 1)) as pool:
             blocks = list(pool.map(_run_range_star, ranges))
     data = np.concatenate([b[0] for b in blocks], axis=0)
     rejections = sum(b[1] for b in blocks)

@@ -385,7 +385,7 @@ def test_rate_loss_adaptive_realization_modes():
     d_nt = cfg.antenna_mode.d_nt
     e_iout, _ = _loss_constants(cfg)
     r = np.array([0.4, 0.9, 1.8])
-    (loss,) = analysis.rate_loss_adaptive_rows(r[None, :], cfg, 30)
+    (loss,), = analysis.rate_loss_adaptive_rows(r[None, :], cfg, [30])
     b0, b_intra = feedback.adaptive_allocation(r, 30, 3 + d_nt, cfg.alpha,
                                                e_iout, cfg.inv_snr)
     assert np.isfinite(loss)
@@ -394,11 +394,11 @@ def test_rate_loss_adaptive_realization_modes():
     # symmetric two-interferer instance at cell-scale distance: both in the
     # effective set with near-equal bits
     r2 = np.array([0.5, 0.5])
-    (loss2,) = analysis.rate_loss_adaptive_rows(r2[None, :], cfg, 30)
+    (loss2,), = analysis.rate_loss_adaptive_rows(r2[None, :], cfg, [30])
     _, b_intra2 = feedback.adaptive_allocation(r2, 30, 2 + d_nt, cfg.alpha,
                                                e_iout, cfg.inv_snr)
-    _, (size2,), _ = feedback.adaptive_decision(r2[None, :], 30, 2 + d_nt,
-                                                cfg.alpha, e_iout, cfg.inv_snr)
+    (_, (size2,), _), = feedback.adaptive_decision(r2[None, :], [30], 2 + d_nt,
+                                                   cfg.alpha, e_iout, cfg.inv_snr)
     assert size2 == 2
     assert abs(b_intra2[0] - b_intra2[1]) <= 1
     assert np.isfinite(loss2)
@@ -414,8 +414,8 @@ def per_draw_adaptive_loss(cluster, cfg, b_tot, e_iout, e_log):
     floor = e_iout + cfg.inv_snr
     if n_t <= 1:
         return 0.0, 0, False
-    _, (k,), (residual,) = feedback.adaptive_decision(
-        cluster.intra_dist[None, :], b_tot, n_t, cfg.alpha, e_iout, cfg.inv_snr)
+    (_, (k,), (residual,)), = feedback.adaptive_decision(
+        cluster.intra_dist[None, :], [b_tot], n_t, cfg.alpha, e_iout, cfg.inv_snr)
     g1 = math.exp(specfun.ln_gamma(n_t / (n_t - 1.0)))
     g2 = math.exp(specfun.ln_gamma((2.0 * n_t - 1.0) / (n_t - 1.0)))
     loss = LOG2E * g1 * 2.0 ** (-b0 / (n_t - 1.0)) - e_log

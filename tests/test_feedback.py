@@ -20,8 +20,8 @@ from clusternull.feedback import (
 
 def decision(r, b_tot, n_t, alpha, e_iout, inv_snr):
     """`adaptive_decision` of one row: (b0, effective-set size, residual)."""
-    (b0,), (size,), (residual,) = adaptive_decision(
-        np.asarray(r, dtype=float)[None, :], b_tot, n_t, alpha, e_iout, inv_snr)
+    ((b0,), (size,), (residual,)), = adaptive_decision(
+        np.asarray(r, dtype=float)[None, :], [b_tot], n_t, alpha, e_iout, inv_snr)
     return b0, size, residual
 
 
@@ -100,6 +100,33 @@ def test_exact_law_sampler_matches_explicit_rvq():
         fast = sample_rvq_sin2(n_t, bits, rng.random(20_000))
         d = stats.ks_2samp(explicit, fast).statistic
         assert d < 0.05, (n_t, bits, d)
+
+
+def test_exact_law_sampler_scalar_and_array_forms_agree():
+    # a trial calls the sampler on one uniform at a time, the tests on
+    # arrays: one path serves both, each form giving the floats of the law
+    # with u clipped to [1e-300, 1], the ends u = 0 and u = 1 included
+    rng = np.random.default_rng(13)
+    u = np.concatenate([[0.0, 1.0, 1e-300, 5e-324], rng.random(2000)])
+
+    def law(n_t, bits, u):
+        clipped = np.clip(np.asarray(u, dtype=float), 1e-300, 1.0)
+        return (-np.expm1(np.log(clipped) * 2.0 ** (-float(bits)))) ** (1.0 / (n_t - 1))
+
+    for n_t, bits in [(2, 1), (4, 4), (6, 25), (9, 80)]:
+        batch = sample_rvq_sin2(n_t, bits, u)
+        assert batch.shape == u.shape
+        assert np.array_equal(batch, law(n_t, bits, u))
+        for x in u.tolist() + [0, 1]:
+            z = sample_rvq_sin2(n_t, bits, x)
+            assert np.shape(z) == ()
+            assert float(z) == float(law(n_t, bits, x))
+    for x in (0, 0.5, u):
+        assert np.array_equal(sample_rvq_sin2(1, 3, x), np.zeros_like(x, dtype=float))
+    # the inverse transform's ends: u = 1 is no distortion, u = 0 (clipped
+    # to 1e-300) nearly all of it
+    assert float(sample_rvq_sin2(4, 4, 1.0)) == 0.0
+    assert 0.999 < float(sample_rvq_sin2(4, 4, 0.0)) <= 1.0
 
 
 def test_exact_law_sampler_mean():
@@ -352,11 +379,42 @@ def test_adaptive_decision_rows_are_independent(n):
     n_t, alpha, e_iout, inv_snr = n + 3, 4.0, 0.02, 0.01
     seen = set()
     for b_tot in (n, 2 * n + 1, 40):
-        batch = adaptive_decision(rows, b_tot, n_t, alpha, e_iout, inv_snr)
+        batch, = adaptive_decision(rows, [b_tot], n_t, alpha, e_iout, inv_snr)
         for i, row in enumerate(rows):
-            (b0,), (size,), (residual,) = adaptive_decision(
-                row[None, :], b_tot, n_t, alpha, e_iout, inv_snr)
+            b0, size, residual = decision(row, b_tot, n_t, alpha, e_iout, inv_snr)
             assert (batch[0][i], batch[1][i], batch[2][i]) == (b0, size, residual)
             seen |= {"residual" if residual else "inter-cluster"}
             seen |= {"empty set"} if size == 0 else set()
     assert seen == {"residual", "inter-cluster", "empty set"}
+
+
+@pytest.mark.parametrize("regime", ["residual", "inter-cluster"])
+def test_one_decision_serves_every_budget(regime):
+    # the decision at every budget of one call equals the one-budget call,
+    # row by row; and the allocations built on it equal the one-budget ones
+    rng = np.random.default_rng((14, regime == "residual"))
+    e_iout, inv_snr = (1e-4, 1e-4) if regime == "residual" else (0.5, 0.1)
+    budgets = sorted(set(rng.integers(1, 81, 12).tolist()) | {1, 80})
+    rows_seen, seen = 0, set()
+    for n in range(1, 13):
+        rows = np.sort(rng.uniform(0.05, 12.0, (420, n)), axis=1)
+        n_t, alpha = n + int(rng.integers(1, 6)), float(rng.choice([3.0, 4.0]))
+        shared = adaptive_decision(rows, budgets, n_t, alpha, e_iout, inv_snr)
+        assert len(shared) == len(budgets)
+        for b_tot, batch in zip(budgets, shared):
+            (alone,) = adaptive_decision(rows, [b_tot], n_t, alpha, e_iout,
+                                         inv_snr)
+            assert batch == alone
+            seen |= set(batch[2])
+        for row in rows[:20]:
+            allocations = feedback.adaptive_allocations(
+                row, budgets, n_t, alpha, e_iout, inv_snr)
+            for b_tot, (b0, b_intra) in zip(budgets, allocations):
+                want_b0, want_intra = adaptive_allocation(
+                    row, b_tot, n_t, alpha, e_iout, inv_snr)
+                assert b0 == want_b0
+                assert np.array_equal(b_intra, want_intra)
+        rows_seen += len(rows)
+    assert rows_seen >= 5000
+    # both regimes appear among the rows of each setting
+    assert seen == {True, False}

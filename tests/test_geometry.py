@@ -418,6 +418,9 @@ def _block_matches_scalar(cfg, count, seed):
     rngs = [np.random.default_rng((seed, i)) for i in range(count)]
     block = list(sample_typical_clusters(cfg, rngs))
     assert len(block) == count
+    # a block pass builds every cluster's out_dist on the first read of any:
+    # read the last one first
+    block[-1][1].out_dist
     rejections = 0
     for i, ((rng, *got), given) in enumerate(zip(block, rngs)):
         assert rng is given
@@ -490,6 +493,65 @@ def test_block_sampler_consumes_streams_lazily():
     for (rng_a, *a), (rng_b, *b) in zip(got, want):
         _assert_same_draw(a, b)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def _inverted_pair(radius, rng):
+    """Radius and angle uniforms of two base stations whose radius keys are
+    a few ulps apart in one order and whose distances are in the other."""
+    while True:
+        u = np.array([rng.uniform(1e-6, 1e-4)] * 2)
+        for _ in range(rng.integers(1, 4)):
+            u[1] = np.nextafter(u[1], 1.0)
+        t = rng.random(2)
+        key = geometry._disk_radii(radius, u)
+        dist = np.hypot(*geometry._disk_points(key, t))
+        if key[0] < key[1] and dist[0] > dist[1]:
+            return u, t
+
+
+def test_block_extraction_of_near_ties():
+    # the block pass maps only the base stations whose radius keys lie
+    # within 1e-9 of the least one; two nearest stations whose keys and
+    # distances are ordered oppositely, or whose keys are equal, must give
+    # the reference's argmin
+    cfg = cfg_ratio(3.0)
+    radius = cfg.window_radius
+    rng = np.random.default_rng(29)
+    mean_b = cfg.lambda_b * math.pi * radius * radius
+    draws = []
+    for row in range(6):
+        n_b, n_c = rng.poisson(mean_b), rng.poisson(cfg.window_cluster_count)
+        u_rb, u_tb = rng.uniform(1e-3, 1.0, n_b), rng.random(n_b)
+        pair = [3, 11] if row % 2 else [11, 3]      # key order = index order, or not
+        u_rb[pair], u_tb[pair] = _inverted_pair(radius, rng)
+        if row == 4:
+            u_rb[[3, 5, 11]] = u_rb[3]              # three equal keys
+        draws.append([u_rb, u_tb, rng.random(n_c), rng.random(n_c)])
+    block = geometry._extract(radius, draws)
+    for cl, draw in zip(block, draws):
+        want = build_typical_cluster(geometry._realization(radius, draw))
+        _assert_same_draw((cl, 0), (want, 0))
+        assert cl.r0 < 0.01 * radius             # a tied station serves
+
+
+def test_adaptive_bound_never_maps_out_of_cluster_stations(monkeypatch):
+    # the adaptive bound reads the serving clusters only, so no block pass
+    # builds the out-of-cluster distances; its values do not change
+    cfg = SimConfig(lambda_b=1.0, lambda_c=1.0 / 3.0, snr_db=20.0,
+                    antenna_mode=FollowN(5), seed=30)
+    want = analysis.rate_loss_ub_adaptive(cfg, (20, 40), geometry_trials=600)
+
+    def refuse(*args):
+        raise AssertionError("out_dist built for the adaptive bound")
+
+    monkeypatch.setattr(geometry, "_out_distances", refuse)
+    assert analysis.rate_loss_ub_adaptive(cfg, (20, 40),
+                                          geometry_trials=600) == want
+    # a trial does read them
+    block = list(sample_typical_clusters(
+        cfg, [np.random.default_rng((31, i)) for i in range(3)]))
+    with pytest.raises(AssertionError, match="out_dist built"):
+        block[0][1].out_dist
 
 
 def test_block_sampler_refuses_before_any_draw():

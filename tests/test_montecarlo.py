@@ -262,3 +262,38 @@ def test_single_range_runs_without_a_pool(monkeypatch):
     assert np.array_equal(two.sinr_nic, one.sinr_nic)
     assert np.array_equal(two.sinr_lf, one.sinr_lf)
     assert np.array_equal(two.n_interferers, one.n_interferers)
+
+
+def test_worker_count_caps_pool_size(monkeypatch):
+    # CLUSTER_SIM_THREADS caps the pool: the pool forks every worker up
+    # front, so it never asks for more than the ranges or the CPUs.  A fake
+    # pool records its size and maps in process, so no process starts.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    cfg = cfg_make(trials=200, seed=18)
+    pairs = (("adaptive", 24), ("equal-bias", 24))
+    monkeypatch.setenv("CLUSTER_SIM_THREADS", "1")
+    one = montecarlo.collect_trials(cfg, pairs)
+    monkeypatch.setenv("CLUSTER_SIM_THREADS", "100000")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    many = montecarlo.collect_trials(cfg, pairs)
+    assert len(sizes) == 1
+    assert 1 <= sizes[0] <= min(4, os.cpu_count() or 1)
+    assert np.array_equal(many.sinr_ic, one.sinr_ic)
+    assert np.array_equal(many.sinr_nic, one.sinr_nic)
+    assert np.array_equal(many.sinr_lf, one.sinr_lf)
+    assert np.array_equal(many.n_interferers, one.n_interferers)
+    assert many.rejections == one.rejections
